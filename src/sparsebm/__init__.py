@@ -5,6 +5,8 @@ inference, structure learning from conditional mutual information, a
 magnitude-pruning baseline, and AIS-based held-out evaluation.
 """
 
+__version__ = "0.1.0"
+
 from .corpus import (
     Corpus,
     CorpusSplit,
@@ -66,5 +68,3 @@ from .structure import (
     save_skeleton,
     sbm_sfc,
 )
-
-__version__ = "0.1.0"

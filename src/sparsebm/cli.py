@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data or model error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -20,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import corpus as corpus_mod
 from . import evaluation, pruning, structure as structure_mod
 from . import replicated_softmax as rs_mod
 from . import sbm as sbm_mod
 from .errors import SparsebmError
-from .replicated_softmax import TrainConfig
+from .sbm import TrainConfig
 from .util import rng_from
 
 _EVAL_STREAM = 61
@@ -56,16 +58,19 @@ def _load_corpus(prefix):
     return corpus
 
 
-def _load_any_model(path):
-    """Sniff the file kind; returns (model, mask_or_None)."""
+def _model_kind(path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
     if len(header) != 3:
         raise SparsebmError(f"{path}: not a sparsebm model file")
-    kind = header[1]
+    return header[1]
+
+
+def _load_any_model(path):
+    """Sniff the file kind; returns (model, mask_or_None)."""
+    kind = _model_kind(path)
     if kind == "rs-model":
-        model, mask = pruning.load_pruned_rs(path)
-        return model, mask
+        return pruning.load_pruned_rs(path)
     if kind == "sbm-model":
         return sbm_mod.load_sbm_model(path), None
     raise SparsebmError(f"{path}: unsupported model kind {kind!r}")
@@ -104,10 +109,22 @@ def _file_sha256(path):
     return h.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _code_digest():
+    """sha256 over the package's Python sources, so cached pipeline stages
+    are never reused across code that may compute different numbers."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _config_hash(config, input_paths):
     payload = {
         "config": config,
         "inputs": {str(p): _file_sha256(p) for p in input_paths},
+        "version": __version__,
+        "code": _code_digest(),
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -270,7 +287,7 @@ def cmd_expand(args):
     if args.cmi_out:
         structure_mod.save_cmi_table(table, args.cmi_out)
         outputs.append(args.cmi_out)
-    degrees = [len(expanded.visible_indices(j)) for j in range(expanded.n_hidden)]
+    degrees = expanded.degrees()
     config = {"fraction": args.fraction, "add": args.add}
     write_manifest(args.output, "expand", config, 0,
                    [*_corpus_paths(args.corpus), args.skeleton, args.tree_model],
@@ -283,9 +300,9 @@ def cmd_expand(args):
 def cmd_prune(args):
     t0 = time.time()
     corpus = _load_corpus(args.corpus)
-    model, _ = _load_any_model(args.model)
-    if not isinstance(model, rs_mod.RsModel):
+    if _model_kind(args.model) != "rs-model":
         raise SparsebmError("prune expects a dense RS model")
+    model, _ = pruning.load_pruned_rs(args.model)
     if args.target is not None:
         target = args.target
     else:
@@ -312,42 +329,28 @@ def cmd_prune(args):
     return 0
 
 
-def _evaluate_model(model, docs, args, rng):
-    schedule = _parse_schedule(args.schedule)
-    lengths = sorted({d.length for d in docs})
-    if args.exact:
-        log_z = {d: evaluation.exact_log_z(model, d) for d in lengths}
-    else:
-        log_z = {
-            d: evaluation.ais_log_z(model, d, schedule, args.ais_runs, rng).log_z_mean
-            for d in lengths
-        }
-    lp = evaluation.per_document_log_probs(
-        model, docs, log_z, include_multinomial=args.include_multinomial
-    )
-    d_arr = np.array([doc.length for doc in docs], dtype=np.float64)
-    ppl = float(np.exp(-np.mean(lp / d_arr)))
-    return ppl, lp, d_arr
-
-
 def cmd_eval(args):
     t0 = time.time()
-    model, mask = _load_any_model(args.model)
+    model, _ = _load_any_model(args.model)
     corpus = _load_corpus(args.docs)
     docs = list(corpus.docs)
     if args.max_docs is not None and args.max_docs < len(docs):
         picker = rng_from(args.seed, _EVAL_STREAM, 7)
         idx = picker.choice(len(docs), size=args.max_docs, replace=False)
         docs = [docs[i] for i in sorted(idx)]
-    rng = rng_from(args.seed, _EVAL_STREAM)
-    ppl, lp, d_arr = _evaluate_model(model, docs, args, rng)
+    lp, _ = evaluation.held_out_log_probs(
+        model, docs, _parse_schedule(args.schedule), args.ais_runs,
+        rng_from(args.seed, _EVAL_STREAM), args.include_multinomial,
+        evaluation.exact_log_z if args.exact else None,
+    )
+    ppl = evaluation.per_word_perplexity(lp, docs)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write("doc_id\tD\tlog_p\tper_word_ppl\n")
-            for i, (doc_lp, d) in enumerate(zip(lp, d_arr)):
+            for i, (doc_lp, doc) in enumerate(zip(lp, docs)):
                 fh.write(
-                    f"{i}\t{int(d)}\t{float(doc_lp)!r}"
-                    f"\t{float(np.exp(-doc_lp / d))!r}\n"
+                    f"{i}\t{doc.length}\t{float(doc_lp)!r}"
+                    f"\t{float(np.exp(-doc_lp / doc.length))!r}\n"
                 )
             fh.write(f"# documents\t{len(docs)}\n")
             fh.write(f"# perplexity\t{ppl!r}\n")
@@ -558,12 +561,7 @@ def cmd_pipeline(args):
             model_paths["rs_plus"] = path
     if "rs_plus_sfc" in variants:
         path = out / "rs_plus_sfc.sbm"
-        no_tree = sbm_mod.SbmStructure(
-            expanded.n_hidden, expanded.n_visible,
-            [(j, int(k)) for j in range(expanded.n_hidden)
-             for k in expanded.visible_indices(j)],
-            [],
-        )
+        no_tree = sbm_mod.SbmStructure.from_mask(expanded.mask(), [])
         _run_stage(
             "rs-plus-sfc", path, main_cfg.__dict__, seed,
             [*_corpus_paths(train_prefix), expanded_path], force,
@@ -575,8 +573,7 @@ def cmd_pipeline(args):
     if "rs_plus_pruned" in variants:
         path = out / "rs_plus_pruned.rs"
         prune_cfg_in = cfg.get("prune", {})
-        degrees = [len(expanded.visible_indices(j)) for j in range(n_hidden)]
-        target = prune_cfg_in.get("target_per_unit", max(degrees))
+        target = prune_cfg_in.get("target_per_unit", int(expanded.degrees().max()))
 
         def build_pruned():
             model, _ = _load_any_model(out / "rs_plus.rs")
@@ -626,28 +623,14 @@ def cmd_pipeline(args):
     def build_report():
         rows = []
         for idx, (variant, path) in enumerate(sorted(model_paths.items())):
-            model, mask = _load_any_model(path)
-            rng = rng_from(eval_seed, _EVAL_STREAM, idx)
-            lengths = sorted({d.length for d in docs})
-            log_z = {
-                d: evaluation.ais_log_z(model, d, schedule, runs, rng).log_z_mean
-                for d in lengths
-            }
-            lp = evaluation.per_document_log_probs(
-                model, docs, log_z,
-                include_multinomial=eval_cfg.get("include_multinomial", False),
+            model, _ = _load_any_model(path)
+            lp, _ = evaluation.held_out_log_probs(
+                model, docs, schedule, runs, rng_from(eval_seed, _EVAL_STREAM, idx),
+                eval_cfg.get("include_multinomial", False),
             )
-            d_arr = np.array([doc.length for doc in docs], dtype=np.float64)
-            ppl = float(np.exp(-np.mean(lp / d_arr)))
-            if isinstance(model, sbm_mod.SbmModel):
-                degs = [len(model.structure.visible_indices(j))
-                        for j in range(model.n_hidden)]
-                mean_degree = float(np.mean(degs))
-            elif mask is not None:
-                mean_degree = float(mask.sum(axis=1).mean())
-            else:
-                mean_degree = float(model.n_visible)
-            rows.append((variant, model.n_hidden, mean_degree, ppl))
+            mean_degree = float(model.structure.degrees().mean())
+            rows.append((variant, model.n_hidden, mean_degree,
+                         evaluation.per_word_perplexity(lp, docs)))
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write("variant\tF\tmean_visible_degree\ttest_perplexity\n")
             for variant, f, deg, ppl in rows:

@@ -11,9 +11,8 @@ from scipy.special import gammaln, logsumexp
 
 from .corpus import Document, dense_counts
 from .errors import FileFormatError
-from .replicated_softmax import _softmax_rows
-from .sbm import SbmModel, _gibbs_hidden_sweep, tree_sum_product
-from .util import log_mean_exp, sigmoid, softplus
+from .sbm import _batch_theta, _gibbs_hidden_sweep, _softmax_rows, tree_sum_product
+from .util import log_mean_exp
 
 _AIS_STREAM = 41
 
@@ -96,29 +95,13 @@ class AisEstimate:
 # unnormalized visible marginals (hidden units summed out exactly)
 
 
-def _is_sbm(model) -> bool:
-    return isinstance(model, SbmModel)
-
-
 def _log_p_star_batch(model, counts_matrix, lengths, beta=1.0):
     """log sum_h exp(-E_beta) for each row; beta scales W, Wt and a."""
-    base = counts_matrix @ model.b
-    theta = counts_matrix @ model.W.T + lengths[:, None] * model.a
-    if _is_sbm(model) and model.structure.n_tree_edges:
-        edge_logw = beta * lengths[:, None] * model.Wt[None, :]
-        _, _, logz_h = tree_sum_product(
-            model.structure, beta * theta, edge_logw, want_marginals=False
-        )
-        return base + logz_h
-    if _is_sbm(model):
-        _, _, logz_h = tree_sum_product(
-            model.structure,
-            beta * theta,
-            np.zeros((counts_matrix.shape[0], 0)),
-            want_marginals=False,
-        )
-        return base + logz_h
-    return base + softplus(beta * theta).sum(axis=1)
+    theta, edge_logw = _batch_theta(model, counts_matrix, lengths)
+    _, _, logz_h = tree_sum_product(
+        model.structure, beta * theta, beta * edge_logw, want_marginals=False
+    )
+    return counts_matrix @ model.b + logz_h
 
 
 def log_p_star(model, doc: Document) -> float:
@@ -135,19 +118,6 @@ def log_multinomial_coeff(doc: Document) -> float:
 
 # ---------------------------------------------------------------------------
 # AIS
-
-
-def _gibbs_full_step(model, u, h, lengths_int, lengths, beta, rng):
-    """Hidden sweep then visible resample at inverse temperature beta."""
-    if _is_sbm(model):
-        h = _gibbs_hidden_sweep(model, u, lengths, h, rng, beta=beta)
-    else:
-        act = u @ model.W.T + lengths[:, None] * model.a
-        p = sigmoid(beta * act)
-        h = (rng.random(p.shape) < p).astype(np.float64)
-    p_vis = _softmax_rows(model.b + beta * (h @ model.W))
-    u = rng.multinomial(lengths_int, p_vis).astype(np.float64)
-    return u, h
 
 
 def ais_log_z(
@@ -188,7 +158,9 @@ def ais_log_z(
         lp_here = _log_p_star_batch(model, u, lengths, beta=beta)
         log_w += lp_here - lp_prev
         if k < betas.size - 1:
-            u, h = _gibbs_full_step(model, u, h, lengths_int, lengths, beta, rng)
+            h = _gibbs_hidden_sweep(model, u, lengths, h, rng, beta=beta)
+            p_vis = _softmax_rows(model.b + beta * (h @ model.W))
+            u = rng.multinomial(lengths_int, p_vis).astype(np.float64)
             lp_prev = _log_p_star_batch(model, u, lengths, beta=beta)
     return AisEstimate(
         log_z_mean=log_z_base + log_mean_exp(log_w),
@@ -221,12 +193,6 @@ def _hidden_states(f: int) -> np.ndarray:
     return ((states >> np.arange(f)[None, :]) & 1).astype(np.float64)
 
 
-def _model_parts(model):
-    if _is_sbm(model):
-        return model.W, model.a, model.b, model.structure.tree_edges, model.Wt
-    return model.W, model.a, model.b, [], np.zeros(0)
-
-
 def enumeration_cost(model, doc_length: int) -> int:
     k = model.n_visible
     f = model.n_hidden
@@ -245,15 +211,14 @@ def _exact_terms(model, doc_length: int):
         raise ValueError(
             f"exact enumeration needs {cost} weighted terms, above the 1e7 limit"
         )
-    w, a, b, edges, wt = _model_parts(model)
     comps = _compositions(doc_length, model.n_visible).astype(np.float64)
     mlog = gammaln(doc_length + 1) - gammaln(comps + 1).sum(axis=1)
     states = _hidden_states(model.n_hidden)
-    theta = comps @ w.T + doc_length * a
+    theta = comps @ model.W.T + doc_length * model.a
     tree = np.zeros(states.shape[0])
-    for e, (j, l) in enumerate(edges):
-        tree += doc_length * wt[e] * states[:, j] * states[:, l]
-    logits = (mlog + comps @ b)[:, None] + theta @ states.T + tree[None, :]
+    for e, (j, l) in enumerate(model.structure.tree_edges):
+        tree += doc_length * model.Wt[e] * states[:, j] * states[:, l]
+    logits = (mlog + comps @ model.b)[:, None] + theta @ states.T + tree[None, :]
     return comps, states, logits
 
 
@@ -273,7 +238,7 @@ def exact_expectations(model, doc_length: int):
     comps, states, logits = _exact_terms(model, doc_length)
     log_z = logsumexp(logits)
     p = np.exp(logits - log_z)
-    _, _, _, edges, _ = _model_parts(model)
+    edges = model.structure.tree_edges
     e_u = p.sum(axis=1) @ comps
     e_h = p.sum(axis=0) @ states
     e_hu = states.T @ (p.T @ comps)
@@ -308,6 +273,47 @@ def per_document_log_probs(
     return lp
 
 
+def held_out_log_probs(
+    model,
+    docs,
+    schedule: AisSchedule | None = None,
+    runs: int = 100,
+    rng: np.random.Generator | None = None,
+    include_multinomial: bool = False,
+    log_z_fn=None,
+):
+    """Per-document log probabilities and the per-length log Z behind them.
+
+    One partition value is computed per distinct document length, in
+    ascending length order: by AIS (one ais_log_z call per length, all
+    drawing from rng), or by log_z_fn, any callable (model, length) -> log Z
+    such as the exact oracle for tiny models. Returns (log_probs,
+    {length: log Z}).
+    """
+    docs = list(docs)
+    if not docs:
+        raise ValueError("docs must be non-empty")
+    lengths = sorted({doc.length for doc in docs})
+    if log_z_fn is None:
+        if schedule is None:
+            schedule = default_schedule()
+        if rng is None:
+            raise ValueError("rng is required when estimating log Z with AIS")
+        log_z_by_length = {
+            d: ais_log_z(model, d, schedule, runs, rng).log_z_mean for d in lengths
+        }
+    else:
+        log_z_by_length = {d: float(log_z_fn(model, d)) for d in lengths}
+    lp = per_document_log_probs(model, docs, log_z_by_length, include_multinomial)
+    return lp, log_z_by_length
+
+
+def per_word_perplexity(log_probs, docs) -> float:
+    """exp of minus the mean over documents of log P(doc) / length."""
+    d = np.array([doc.length for doc in docs], dtype=np.float64)
+    return float(np.exp(-np.mean(np.asarray(log_probs) / d)))
+
+
 def perplexity(
     model,
     docs,
@@ -326,22 +332,10 @@ def perplexity(
     vocabulary size.
     """
     docs = list(docs)
-    if not docs:
-        raise ValueError("docs must be non-empty")
-    lengths = sorted({doc.length for doc in docs})
-    if log_z_fn is None:
-        if schedule is None:
-            schedule = default_schedule()
-        if rng is None:
-            raise ValueError("rng is required when estimating log Z with AIS")
-        log_z_by_length = {
-            d: ais_log_z(model, d, schedule, runs, rng).log_z_mean for d in lengths
-        }
-    else:
-        log_z_by_length = {d: float(log_z_fn(model, d)) for d in lengths}
-    lp = per_document_log_probs(model, docs, log_z_by_length, include_multinomial)
-    d = np.array([doc.length for doc in docs], dtype=np.float64)
-    return float(np.exp(-np.mean(lp / d)))
+    lp, _ = held_out_log_probs(
+        model, docs, schedule, runs, rng, include_multinomial, log_z_fn
+    )
+    return per_word_perplexity(lp, docs)
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +395,17 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(vectors, dim)
 
 
-def _unit_weight_row(model, j: int, mask=None):
-    if _is_sbm(model):
-        candidates = model.structure.visible_indices(j)
-        return candidates, np.abs(model.W[j, candidates])
-    if mask is not None:
-        candidates = np.nonzero(mask[j])[0]
-        return candidates, np.abs(model.W[j, candidates])
-    candidates = np.arange(model.n_visible)
-    return candidates, np.abs(model.W[j])
-
-
 def unit_top_words(model, vocab, j: int, top_n: int = 10, mask=None):
     """The unit's top words by absolute weight, ties toward lower index.
 
-    For sparse models only connected words compete; a pruned model's mask
-    restricts the candidates the same way.
+    Only the unit's connected words compete, which for a pruned model are
+    the words its mask keeps; the mask argument is accepted for
+    compatibility and adds nothing to the model's own structure.
     """
     if not 0 <= j < model.n_hidden:
         raise ValueError(f"hidden index {j} out of range")
-    candidates, magnitude = _unit_weight_row(model, j, mask)
+    candidates = model.structure.visible_indices(j)
+    magnitude = np.abs(model.W[j, candidates])
     order = np.lexsort((candidates, -magnitude))
     return [vocab[candidates[i]] for i in order[:top_n]]
 

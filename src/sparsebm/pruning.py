@@ -9,14 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .errors import FileFormatError
-from .replicated_softmax import (
-    RsModel,
-    TrainConfig,
-    load_rs_model,
-    rs_fit,
-    save_rs_model,
-)
+from .errors import FileFormatError, StructureError
+from .replicated_softmax import load_rs_model, save_rs_model
+from .sbm import SbmModel, SbmStructure, TrainConfig, sbm_fit
 from .util import rng_from
 
 _PRUNE_CD_STREAM = 23
@@ -48,21 +43,24 @@ class PruneConfig:
 
 @dataclass
 class PruneResult:
-    model: RsModel
+    model: SbmModel  # tree-less, over the structure of mask
     mask: np.ndarray
     iterations: list  # (iteration, per_unit_count, epochs_this_iteration)
     total_epochs: int
 
 
-def prune_step(model: RsModel, mask: np.ndarray, keep_per_unit: int):
+def prune_step(model: SbmModel, mask: np.ndarray, keep_per_unit: int):
     """Keep each unit's keep_per_unit largest-magnitude surviving weights.
 
-    Ties break toward the lower visible index. Returns (model, mask) with
-    pruned weights set to exactly zero; inputs are not modified.
+    Ties break toward the lower visible index. Returns (model, mask): the
+    model lives on the tree-less structure of the new mask, with pruned
+    weights set to exactly zero; inputs are not modified.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != model.W.shape:
         raise ValueError("mask shape does not match W")
+    if keep_per_unit < 1:
+        raise ValueError("keep_per_unit must be at least 1")
     counts = mask.sum(axis=1)
     if np.any(counts < keep_per_unit):
         worst = int(counts.min())
@@ -76,11 +74,12 @@ def prune_step(model: RsModel, mask: np.ndarray, keep_per_unit: int):
         magnitude = np.abs(model.W[j, surviving])
         order = np.lexsort((surviving, -magnitude))
         new_mask[j, surviving[order[:keep_per_unit]]] = True
-    new_w = np.where(new_mask, model.W, 0.0)
-    return RsModel(new_w, model.a.copy(), model.b.copy()), new_mask
+    pruned = SbmModel(SbmStructure.from_mask(new_mask, []),
+                      np.where(new_mask, model.W, 0.0), (), model.a.copy(), model.b.copy())
+    return pruned, new_mask
 
 
-def prune_and_retrain(model: RsModel, corpus: Corpus, config: PruneConfig) -> PruneResult:
+def prune_and_retrain(model: SbmModel, corpus: Corpus, config: PruneConfig) -> PruneResult:
     """Iterate prune_step and masked retraining down to the target budget.
 
     Each iteration keeps ceil((1 - prune_fraction) * current) connections
@@ -107,15 +106,8 @@ def prune_and_retrain(model: RsModel, corpus: Corpus, config: PruneConfig) -> Pr
             keep = current - 1
         work, mask = prune_step(work, mask, keep)
         current = keep
-        work = rs_fit(
-            work,
-            corpus,
-            config.train,
-            epochs=config.retrain_epochs_per_iter,
-            rng=rng,
-            mask=mask,
-            epoch_offset=total_epochs,
-        )
+        work = sbm_fit(work, corpus, config.train, config.retrain_epochs_per_iter,
+                       rng, epoch_offset=total_epochs)
         total_epochs += config.retrain_epochs_per_iter
         iterations.append((iteration, current, config.retrain_epochs_per_iter))
     return PruneResult(model=work, mask=mask, iterations=iterations, total_epochs=total_epochs)
@@ -129,7 +121,7 @@ def save_iteration_log(result: PruneResult, path) -> None:
             fh.write(f"{it}\t{count}\t{epochs}\n")
 
 
-def save_pruned_rs(model: RsModel, mask: np.ndarray, path) -> None:
+def save_pruned_rs(model: SbmModel, mask: np.ndarray, path) -> None:
     """RsModel serialization plus a [mask] section of surviving (j, k) pairs."""
     lines = [
         f"{j} {k}"
@@ -140,14 +132,34 @@ def save_pruned_rs(model: RsModel, mask: np.ndarray, path) -> None:
 
 
 def load_pruned_rs(path):
-    """Returns (model, mask); mask is None when the file has no mask section."""
+    """Returns (model, mask); mask is None when the file has no mask section.
+
+    With a mask the model lives on the mask's tree-less structure. Mask
+    entries out of range and non-zero weights outside the mask are refused.
+    """
     model, sections = load_rs_model(path, return_sections=True)
     if "mask" not in sections:
         return model, None
-    mask = np.zeros((model.n_hidden, model.n_visible), dtype=bool)
+    f, k = model.W.shape
+    mask = np.zeros((f, k), dtype=bool)
     for line in sections["mask"]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}: malformed mask entry {line!r}")
-        mask[int(parts[0]), int(parts[1])] = True
-    return model, mask
+        try:
+            j, v = (int(tok) for tok in line.split())
+        except ValueError:
+            raise FileFormatError(f"{path}: malformed mask entry {line!r}") from None
+        if not (0 <= j < f and 0 <= v < k):
+            raise FileFormatError(
+                f"{path}: mask entry {line!r} out of range for F={f}, K={k}"
+            )
+        mask[j, v] = True
+    off = np.argwhere((model.W != 0.0) & ~mask)
+    if off.size:
+        j, v = off[0]
+        raise FileFormatError(
+            f"{path}: weight W[{j}, {v}] = {float(model.W[j, v])!r} lies outside the mask"
+        )
+    try:
+        structure = SbmStructure.from_mask(mask, [])
+    except StructureError as exc:
+        raise FileFormatError(f"{path}: [mask] {exc}") from None
+    return SbmModel(structure, model.W, (), model.a, model.b), mask

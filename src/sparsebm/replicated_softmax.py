@@ -1,164 +1,84 @@
 """Replicated Softmax: an RBM over word counts with softmax visible tokens.
 
 A document of length D is modelled by D softmax visible units sharing one
-weight matrix; hidden biases scale with D. Training is contrastive
-divergence with T full Gibbs steps per update.
+weight matrix; hidden biases scale with D. This is the sparse Boltzmann
+machine with every hidden unit connected to every word and no hidden tree,
+so the functions here are thin adapters over `sbm`, with their own random
+streams, plus the "rs-model" file format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import Corpus, Document, dense_counts, minibatch_indices
-from .errors import FileFormatError
-from .util import rng_from, sigmoid
+from .corpus import Corpus, Document
+from .sbm import (  # noqa: F401  (TrainConfig is re-exported)
+    SbmModel,
+    SbmStructure,
+    TrainConfig,
+    _check_hidden,
+    _fmt,
+    _init_model,
+    _parse_dims,
+    _parse_vector,
+    _softmax_rows,
+    read_sections,
+    sbm_cd_gradients,
+    sbm_cd_step,
+    sbm_energy,
+    sbm_fit,
+    sbm_tree_marginals,
+    write_sections,
+)
+from .util import rng_from
 
 _INIT_STREAM = 21
 _CD_STREAM = 22
 
 
-class RsModel:
-    """Dense Replicated Softmax parameters.
+class RsModel(SbmModel):
+    """Dense Replicated Softmax parameters: an SbmModel over the full
+    structure with no tree.
 
     W has shape (F, K): hidden-to-visible weights. a (F,) holds hidden
     biases, b (K,) visible biases. All parameters must be finite.
     """
 
-    __slots__ = ("W", "a", "b")
+    __slots__ = ()
 
     def __init__(self, W, a, b):
-        W = np.asarray(W, dtype=np.float64)
         a = np.asarray(a, dtype=np.float64).ravel()
         b = np.asarray(b, dtype=np.float64).ravel()
-        if W.ndim != 2:
-            raise ValueError("W must be a 2-d array")
-        if W.shape != (a.size, b.size):
-            raise ValueError(
-                f"inconsistent shapes: W {W.shape}, a ({a.size},), b ({b.size},)"
-            )
-        for name, arr in (("W", W), ("a", a), ("b", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-        self.W = W
-        self.a = a
-        self.b = b
-
-    @property
-    def n_hidden(self) -> int:
-        return self.a.size
-
-    @property
-    def n_visible(self) -> int:
-        return self.b.size
-
-    def copy(self) -> "RsModel":
-        return RsModel(self.W.copy(), self.a.copy(), self.b.copy())
-
-    def __repr__(self):
-        return f"RsModel(F={self.n_hidden}, K={self.n_visible})"
+        super().__init__(SbmStructure.full(a.size, b.size), W, (), a, b)
 
 
-@dataclass
-class TrainConfig:
-    """Contrastive-divergence training settings.
-
-    cd_steps is the number of full Gibbs steps T per update. momentum and
-    weight_decay default to off. visible_bias_init may be "zero" or
-    "log-frequency" (add-one smoothed empirical log word frequencies).
-    mean_field_negative switches the final hidden statistic of the negative
-    phase from a sampled state to its probability.
-
-    hidden_bias_lr_scale multiplies the step size of the parameters whose
-    gradients carry the document-length factor (hidden biases and, for
-    sparse models, tree couplings). "auto" uses 1 / mean document length,
-    which stops those parameters from saturating hidden units before the
-    weights have differentiated; 1.0 applies the raw gradients.
-    """
-
-    epochs: int = 50
-    cd_steps: int = 10
-    learning_rate: float = 0.01
-    batch_size: int = 100
-    seed: int = 0
-    weight_init_std: float = 0.001
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    visible_bias_init: str = "zero"
-    mean_field_negative: bool = False
-    hidden_bias_lr_scale: float | str = 1.0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.cd_steps < 1:
-            raise ValueError("cd_steps must be at least 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.weight_init_std < 0:
-            raise ValueError("weight_init_std must be non-negative")
-        if self.visible_bias_init not in ("zero", "log-frequency"):
-            raise ValueError(f"unknown visible_bias_init {self.visible_bias_init!r}")
-        if isinstance(self.hidden_bias_lr_scale, str):
-            if self.hidden_bias_lr_scale != "auto":
-                raise ValueError(
-                    f"hidden_bias_lr_scale must be a float or 'auto',"
-                    f" got {self.hidden_bias_lr_scale!r}"
-                )
-        elif self.hidden_bias_lr_scale <= 0:
-            raise ValueError("hidden_bias_lr_scale must be positive")
+def _with_mask(model, mask):
+    """The model over the tree-less structure of a boolean (F, K) mask."""
+    if mask is None:
+        return model
+    return SbmModel(SbmStructure.from_mask(mask, []), model.W, (), model.a, model.b)
 
 
-def _check_hidden(model, h) -> np.ndarray:
-    h = np.asarray(h, dtype=np.float64).ravel()
-    if h.size != model.n_hidden:
-        raise ValueError(f"hidden state length {h.size} != F={model.n_hidden}")
-    if not np.all((h == 0) | (h == 1)):
-        raise ValueError("hidden state entries must be 0 or 1")
-    return h
-
-
-def _check_doc(model, doc: Document):
-    if doc.words.size and int(doc.words[-1]) >= model.n_visible:
-        raise ValueError(
-            f"document references word index {int(doc.words[-1])}"
-            f" >= K={model.n_visible}"
-        )
-
-
-def rs_energy(model: RsModel, doc: Document, h) -> float:
+def rs_energy(model, doc: Document, h) -> float:
     """Energy of a (document, hidden state) pair.
 
     -sum_jk W_jk h_j u_k - sum_k u_k b_k - D sum_j h_j a_j, with u the word
     counts and D the document length.
     """
-    _check_doc(model, doc)
-    h = _check_hidden(model, h)
-    d = doc.length
-    wu = model.W[:, doc.words] @ doc.counts.astype(np.float64)
-    return float(-(h @ wu) - doc.counts @ model.b[doc.words] - d * (h @ model.a))
+    return sbm_energy(model, doc, h)
 
 
-def rs_hidden_conditional(model: RsModel, doc: Document) -> np.ndarray:
+def rs_hidden_conditional(model, doc: Document) -> np.ndarray:
     """P(h_j = 1 | document) for every hidden unit: sigma(W u + D a)."""
-    _check_doc(model, doc)
-    d = doc.length
-    act = model.W[:, doc.words] @ doc.counts.astype(np.float64) + d * model.a
-    return sigmoid(act)
+    return sbm_tree_marginals(model, doc).singleton
 
 
-def rs_visible_softmax(model: RsModel, h) -> np.ndarray:
+def rs_visible_softmax(model, h) -> np.ndarray:
     """Token distribution given hidden states: softmax(b + W^T h)."""
     h = _check_hidden(model, h)
-    logits = model.b + h @ model.W
-    logits = logits - logits.max()
-    p = np.exp(logits)
-    return p / p.sum()
+    return _softmax_rows((model.b + h @ model.W)[None, :])[0]
 
 
-def rs_sample_visible(model: RsModel, h, d: int, rng: np.random.Generator) -> Document:
+def rs_sample_visible(model, h, d: int, rng: np.random.Generator) -> Document:
     """Draw a document of length d token-by-token from the softmax model."""
     if d < 1:
         raise ValueError("document length must be at least 1")
@@ -168,33 +88,6 @@ def rs_sample_visible(model: RsModel, h, d: int, rng: np.random.Generator) -> Do
     return Document(words, counts[words])
 
 
-def _hidden_logits(model, counts_matrix, lengths):
-    return counts_matrix @ model.W.T + lengths[:, None] * model.a
-
-
-def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def _negative_phase(model, counts_matrix, lengths, t, rng, mean_field):
-    """Run T full Gibbs steps from the data; return final (h_stat, counts)."""
-    u = counts_matrix
-    lengths_int = lengths.astype(np.int64)
-    for _ in range(t):
-        p_h = sigmoid(_hidden_logits(model, u, lengths))
-        h = (rng.random(p_h.shape) < p_h).astype(np.float64)
-        p_vis = _softmax_rows(model.b + h @ model.W)
-        u = rng.multinomial(lengths_int, p_vis).astype(np.float64)
-    p_h = sigmoid(_hidden_logits(model, u, lengths))
-    if mean_field:
-        h_stat = p_h
-    else:
-        h_stat = (rng.random(p_h.shape) < p_h).astype(np.float64)
-    return h_stat, u
-
-
 def rs_cd_gradients(model, batch, t, rng, mean_field_negative=False):
     """Batch-averaged CD-T gradient estimates for W, a, b.
 
@@ -202,27 +95,12 @@ def rs_cd_gradients(model, batch, t, rng, mean_field_negative=False):
     document; the negative phase runs T full Gibbs steps (hidden sample,
     visible resample) initialised at the data.
     """
-    if t < 1:
-        raise ValueError("cd_steps must be at least 1")
-    u = dense_counts(batch, model.n_visible)
-    lengths = u.sum(axis=1)
-    n = u.shape[0]
-
-    p_h = sigmoid(_hidden_logits(model, u, lengths))
-    grad_w = p_h.T @ u
-    grad_b = u.sum(axis=0)
-    grad_a = p_h.T @ lengths
-
-    h_neg, u_neg = _negative_phase(model, u, lengths, t, rng, mean_field_negative)
-    grad_w -= h_neg.T @ u_neg
-    grad_b -= u_neg.sum(axis=0)
-    grad_a -= h_neg.T @ lengths
-
-    return {"W": grad_w / n, "a": grad_a / n, "b": grad_b / n}
+    grads = sbm_cd_gradients(model, batch, t, rng, mean_field_negative)
+    return {name: grads[name] for name in ("W", "a", "b")}
 
 
 def rs_cd_step(
-    model: RsModel,
+    model,
     batch,
     t: int,
     lr: float,
@@ -230,113 +108,44 @@ def rs_cd_step(
     mean_field_negative: bool = False,
     weight_decay: float = 0.0,
     mask: np.ndarray | None = None,
-) -> RsModel:
+):
     """One CD-T parameter update; returns a new model.
 
     When a boolean mask is given, masked-out weights are forced back to
     exactly zero after the update.
     """
-    grads = rs_cd_gradients(model, batch, t, rng, mean_field_negative)
-    w = model.W + lr * (grads["W"] - weight_decay * model.W)
-    a = model.a + lr * grads["a"]
-    b = model.b + lr * grads["b"]
-    if mask is not None:
-        w = np.where(mask, w, 0.0)
-    return RsModel(w, a, b)
+    return sbm_cd_step(_with_mask(model, mask), batch, t, lr, rng,
+                       mean_field_negative, weight_decay)
 
 
-def _bias_lr_factor(config: TrainConfig, corpus: Corpus) -> float:
-    if config.hidden_bias_lr_scale == "auto":
-        total = sum(doc.length for doc in corpus.docs)
-        return 1.0 / max(1.0, total / max(1, corpus.n_docs))
-    return float(config.hidden_bias_lr_scale)
-
-
-def init_rs_model(corpus: Corpus, n_hidden: int, config: TrainConfig) -> RsModel:
+def init_rs_model(corpus: Corpus, n_hidden: int, config: TrainConfig):
     """Fresh model: W ~ Normal(0, std^2), biases zero or log-frequency."""
-    rng = rng_from(config.seed, _INIT_STREAM)
-    w = rng.normal(0.0, config.weight_init_std, size=(n_hidden, corpus.n_words))
-    a = np.zeros(n_hidden)
-    if config.visible_bias_init == "log-frequency":
-        counts = corpus.total_counts().astype(np.float64)
-        b = np.log((counts + 1.0) / (counts.sum() + corpus.n_words))
-    else:
-        b = np.zeros(corpus.n_words)
-    return RsModel(w, a, b)
+    structure = SbmStructure.full(n_hidden, corpus.n_words)
+    return _init_model(corpus, structure, config, rng_from(config.seed, _INIT_STREAM))
 
 
 def rs_fit(
-    model: RsModel,
+    model,
     corpus: Corpus,
     config: TrainConfig,
     epochs: int | None = None,
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
     epoch_offset: int = 0,
-) -> RsModel:
+):
     """Run CD training epochs on a copy of the model and return it.
 
-    epoch_offset shifts the minibatch shuffle stream so that resumed
-    training (e.g. prune/retrain cycles) does not replay earlier epochs'
-    batch orders.
+    A boolean mask restricts training to its connections, with every other
+    weight held at exactly zero. epoch_offset shifts the minibatch shuffle
+    stream so that resumed training (e.g. prune/retrain cycles) does not
+    replay earlier epochs' batch orders.
     """
-    if epochs is None:
-        epochs = config.epochs
     if rng is None:
         rng = rng_from(config.seed, _CD_STREAM)
-    w = model.W.copy()
-    a = model.a.copy()
-    b = model.b.copy()
-    if mask is not None:
-        w = np.where(mask, w, 0.0)
-    vel_w = np.zeros_like(w)
-    vel_a = np.zeros_like(a)
-    vel_b = np.zeros_like(b)
-    dense = corpus.counts_matrix()
-    lr = config.learning_rate
-    lr_a = lr * _bias_lr_factor(config, corpus)
-    mom = config.momentum
-    for epoch in range(epochs):
-        batches = minibatch_indices(
-            corpus.n_docs, config.batch_size, config.seed, epoch_offset + epoch
-        )
-        for idx in batches:
-            u = dense[idx]
-            lengths = u.sum(axis=1)
-            n = u.shape[0]
-            work = RsModel(w, a, b)
-            p_h = sigmoid(_hidden_logits(work, u, lengths))
-            gw = p_h.T @ u
-            gb = u.sum(axis=0)
-            ga = p_h.T @ lengths
-            h_neg, u_neg = _negative_phase(
-                work, u, lengths, config.cd_steps, rng, config.mean_field_negative
-            )
-            gw -= h_neg.T @ u_neg
-            gb -= u_neg.sum(axis=0)
-            ga -= h_neg.T @ lengths
-            gw /= n
-            ga /= n
-            gb /= n
-            if config.weight_decay:
-                gw -= config.weight_decay * w
-            if mom:
-                vel_w = mom * vel_w + lr * gw
-                vel_a = mom * vel_a + lr_a * ga
-                vel_b = mom * vel_b + lr * gb
-                w += vel_w
-                a += vel_a
-                b += vel_b
-            else:
-                w += lr * gw
-                a += lr_a * ga
-                b += lr * gb
-            if mask is not None:
-                w = np.where(mask, w, 0.0)
-    return RsModel(w, a, b)
+    return sbm_fit(_with_mask(model, mask), corpus, config, epochs, rng, epoch_offset)
 
 
-def rs_train(corpus: Corpus, n_hidden: int, config: TrainConfig) -> RsModel:
+def rs_train(corpus: Corpus, n_hidden: int, config: TrainConfig):
     """Initialise and CD-train a Replicated Softmax model."""
     if corpus.n_docs == 0:
         raise ValueError("corpus is empty")
@@ -347,87 +156,10 @@ def rs_train(corpus: Corpus, n_hidden: int, config: TrainConfig) -> RsModel:
 
 
 # ---------------------------------------------------------------------------
-# serialization: versioned plain-text sections, bit-exact float round trip
-
-_MAGIC = "sparsebm"
+# the rs-model file: dense W, a and b, plus optional extra sections
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_sections(path, kind: str, sections) -> None:
-    """Write "sparsebm <kind> 1" followed by [name] sections of lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MAGIC} {kind} 1\n")
-        for name, lines in sections:
-            fh.write(f"[{name}]\n")
-            for line in lines:
-                fh.write(line + "\n")
-
-
-def read_sections(path, expected_kind: str):
-    """Parse a sectioned file; returns {section_name: [lines]}."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != _MAGIC:
-            raise FileFormatError(f"{path}: not a {_MAGIC} file")
-        kind, version = header[1], header[2]
-        if kind != expected_kind:
-            raise FileFormatError(
-                f"{path}: expected kind {expected_kind!r}, found {kind!r}"
-            )
-        if version != "1":
-            raise FileFormatError(f"{path}: unsupported format version {version}")
-        sections: dict[str, list[str]] = {}
-        current = None
-        for ln, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current in sections:
-                    raise FileFormatError(
-                        f"{path}: duplicate section {current!r} at line {ln}"
-                    )
-                sections[current] = []
-            elif current is None:
-                raise FileFormatError(f"{path}: content before any section at line {ln}")
-            else:
-                sections[current].append(line)
-    return sections
-
-
-def _parse_dims(sections, path, *names):
-    if "dims" not in sections:
-        raise FileFormatError(f"{path}: missing [dims] section")
-    dims = {}
-    for line in sections["dims"]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}: malformed dims line {line!r}")
-        dims[parts[0]] = int(parts[1])
-    for name in names:
-        if name not in dims:
-            raise FileFormatError(f"{path}: [dims] missing {name}")
-    return tuple(dims[n] for n in names)
-
-
-def _parse_vector(sections, name, size, path):
-    if name not in sections:
-        raise FileFormatError(f"{path}: missing [{name}] section")
-    values = []
-    for line in sections[name]:
-        values.extend(float(tok) for tok in line.split())
-    if len(values) != size:
-        raise FileFormatError(
-            f"{path}: [{name}] holds {len(values)} values, expected {size}"
-        )
-    return np.array(values, dtype=np.float64)
-
-
-def save_rs_model(model: RsModel, path, extra_sections=()) -> None:
+def save_rs_model(model, path, extra_sections=()) -> None:
     sections = [
         ("dims", [f"F {model.n_hidden}", f"K {model.n_visible}"]),
         ("W", [" ".join(_fmt(x) for x in row) for row in model.W]),

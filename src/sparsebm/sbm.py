@@ -4,25 +4,20 @@ Each hidden unit connects to a subset of the visible (word) units, and the
 hidden units themselves are coupled through a forest of pairwise weights.
 The hidden posterior given a document is therefore tree-structured, so the
 positive phase of contrastive divergence uses exact sum-product inference;
-the negative phase runs Gibbs sampling with sequential hidden sweeps.
+the negative phase runs Gibbs sampling with two-colour block hidden sweeps.
+
+Replicated Softmax is the special case with every hidden unit connected to
+every word and no tree; a magnitude-pruned RS model has a masked connection
+set and no tree. Both run through the code here.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus, Document, dense_counts, minibatch_indices
 from .errors import FileFormatError, StructureError
-from .replicated_softmax import (
-    TrainConfig,
-    _bias_lr_factor,
-    _check_hidden,
-    _fmt,
-    _parse_dims,
-    _parse_vector,
-    _softmax_rows,
-    read_sections,
-    write_sections,
-)
 from .util import rng_from, sigmoid
 
 _INIT_STREAM = 31
@@ -31,40 +26,92 @@ _CD_STREAM = 32
 _NEG_INF = -np.inf
 
 
+@dataclass
+class TrainConfig:
+    """Contrastive-divergence training settings.
+
+    cd_steps is the number of full Gibbs steps T per update. momentum and
+    weight_decay default to off. visible_bias_init may be "zero" or
+    "log-frequency" (add-one smoothed empirical log word frequencies).
+    mean_field_negative switches the final hidden statistic of the negative
+    phase from a sampled state to its probability.
+
+    hidden_bias_lr_scale multiplies the step size of the parameters whose
+    gradients carry the document-length factor (hidden biases and, for
+    sparse models, tree couplings). "auto" uses 1 / mean document length,
+    which stops those parameters from saturating hidden units before the
+    weights have differentiated; 1.0 applies the raw gradients.
+    """
+
+    epochs: int = 50
+    cd_steps: int = 10
+    learning_rate: float = 0.01
+    batch_size: int = 100
+    seed: int = 0
+    weight_init_std: float = 0.001
+    momentum: float = 0.0
+    weight_decay: float = 0.0
+    visible_bias_init: str = "zero"
+    mean_field_negative: bool = False
+    hidden_bias_lr_scale: float | str = 1.0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        if self.cd_steps < 1:
+            raise ValueError("cd_steps must be at least 1")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.weight_init_std < 0:
+            raise ValueError("weight_init_std must be non-negative")
+        if self.visible_bias_init not in ("zero", "log-frequency"):
+            raise ValueError(f"unknown visible_bias_init {self.visible_bias_init!r}")
+        if isinstance(self.hidden_bias_lr_scale, str):
+            if self.hidden_bias_lr_scale != "auto":
+                raise ValueError(
+                    f"hidden_bias_lr_scale must be a float or 'auto',"
+                    f" got {self.hidden_bias_lr_scale!r}"
+                )
+        elif self.hidden_bias_lr_scale <= 0:
+            raise ValueError("hidden_bias_lr_scale must be positive")
+
+
 class SbmStructure:
     """Connectivity of a sparse Boltzmann machine.
 
     visible_edges is the bipartite hidden-to-visible edge set, tree_edges the
     forest of hidden-to-hidden couplings. Every hidden unit must keep at
     least one visible edge; tree edges may leave the hidden graph
-    disconnected (a forest) but never cyclic.
+    disconnected (a forest) but never cyclic. edge_index maps each canonical
+    tree edge (lower, higher) to its position in tree_edges.
     """
 
     def __init__(self, n_hidden: int, n_visible: int, visible_edges, tree_edges):
         if n_hidden < 1 or n_visible < 1:
             raise ValueError("n_hidden and n_visible must be positive")
-        self.n_hidden = int(n_hidden)
-        self.n_visible = int(n_visible)
-
-        by_hidden = [[] for _ in range(self.n_hidden)]
-        seen = set()
+        mask = np.zeros((int(n_hidden), int(n_visible)), dtype=bool)
         for j, k in visible_edges:
             j, k = int(j), int(k)
-            if not 0 <= j < self.n_hidden:
+            if not 0 <= j < n_hidden:
                 raise StructureError(f"hidden index {j} out of range")
-            if not 0 <= k < self.n_visible:
+            if not 0 <= k < n_visible:
                 raise StructureError(f"visible index {k} out of range")
-            if (j, k) in seen:
+            if mask[j, k]:
                 raise StructureError(f"duplicate visible edge ({j}, {k})")
-            seen.add((j, k))
-            by_hidden[j].append(k)
-        for j, ks in enumerate(by_hidden):
-            if not ks:
-                raise StructureError(f"hidden unit {j} has no visible edge")
-        self.visible_by_hidden = [np.array(sorted(ks), dtype=np.int64) for ks in by_hidden]
+            mask[j, k] = True
+        self._setup(mask, tree_edges)
 
-        canon = []
-        seen_t = set()
+    def _setup(self, mask, tree_edges):
+        self.n_hidden, self.n_visible = mask.shape
+        empty = np.flatnonzero(~mask.any(axis=1))
+        if empty.size:
+            raise StructureError(f"hidden unit {int(empty[0])} has no visible edge")
+        self._mask = mask
+        self.visible_by_hidden = [np.flatnonzero(row) for row in mask]
+
+        canon = set()
         parent = list(range(self.n_hidden))
 
         def find(x):
@@ -80,15 +127,16 @@ class SbmStructure:
             if not (0 <= j < self.n_hidden and 0 <= l < self.n_hidden):
                 raise StructureError(f"tree edge ({j}, {l}) out of range")
             j, l = min(j, l), max(j, l)
-            if (j, l) in seen_t:
+            if (j, l) in canon:
                 raise StructureError(f"duplicate tree edge ({j}, {l})")
-            seen_t.add((j, l))
             rj, rl = find(j), find(l)
             if rj == rl:
                 raise StructureError("hidden graph is not a forest")
             parent[rj] = rl
-            canon.append((j, l))
+            canon.add((j, l))
         self.tree_edges = sorted(canon)
+        self.edge_index = {edge: e for e, edge in enumerate(self.tree_edges)}
+        self._edge_ends = np.array(self.tree_edges, dtype=np.int64).reshape(-1, 2).T
 
         self._neighbors = [[] for _ in range(self.n_hidden)]
         for e, (j, l) in enumerate(self.tree_edges):
@@ -101,17 +149,26 @@ class SbmStructure:
         for j in range(self.n_hidden):
             labels.setdefault(comp[j], j)
         self.component = np.array([labels[c] for c in comp], dtype=np.int64)
-
-        self._mask = None
         self._plan = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_mask(cls, mask, tree_edges) -> "SbmStructure":
+        """Structure whose visible edges are the True entries of an (F, K) mask."""
+        mask = np.array(mask, dtype=bool)
+        if mask.ndim != 2 or mask.size == 0:
+            raise ValueError("mask must be a non-empty 2-d array")
+        structure = cls.__new__(cls)
+        structure._setup(mask, tree_edges)
+        return structure
+
+    @classmethod
     def full(cls, n_hidden: int, n_visible: int) -> "SbmStructure":
         """Fully connected bipartite structure with no tree edges."""
-        edges = [(j, k) for j in range(n_hidden) for k in range(n_visible)]
-        return cls(n_hidden, n_visible, edges, [])
+        if n_hidden < 1 or n_visible < 1:
+            raise ValueError("n_hidden and n_visible must be positive")
+        return cls.from_mask(np.ones((n_hidden, n_visible), dtype=bool), [])
 
     @classmethod
     def from_groups(cls, groups, tree_edges, n_visible: int) -> "SbmStructure":
@@ -128,6 +185,10 @@ class SbmStructure:
     def visible_indices(self, j: int) -> np.ndarray:
         return self.visible_by_hidden[j]
 
+    def degrees(self) -> np.ndarray:
+        """Number of visible edges of each hidden unit."""
+        return self._mask.sum(axis=1)
+
     def neighbors(self, j: int):
         """Tree neighbours of hidden unit j as (other, edge_index) pairs."""
         return self._neighbors[j]
@@ -140,12 +201,7 @@ class SbmStructure:
         }
 
     def mask(self) -> np.ndarray:
-        """Boolean (F, K) matrix, True on structure edges. Cached."""
-        if self._mask is None:
-            m = np.zeros((self.n_hidden, self.n_visible), dtype=bool)
-            for j, ks in enumerate(self.visible_by_hidden):
-                m[j, ks] = True
-            self._mask = m
+        """Boolean (F, K) matrix, True on structure edges."""
         return self._mask
 
     def __eq__(self, other):
@@ -171,28 +227,33 @@ class SbmStructure:
     # -- message-passing plan ---------------------------------------------
 
     def _bp_plan(self):
-        """Rooted traversal orders for sum-product, cached per structure."""
+        """Traversal orders for sum-product plus the colour classes of the
+        block Gibbs sweep, cached per structure.
+
+        Returns (is_root, up_steps, down_steps, colours). is_root flags one
+        root per tree; colours holds the units of even and of odd BFS depth,
+        each ascending, and a tree edge always joins the two classes.
+        """
         if self._plan is not None:
             return self._plan
-        f = self.n_hidden
-        visited = np.zeros(f, dtype=bool)
-        roots = []
+        depth = [-1] * self.n_hidden
         down_steps = []  # (parent, child, edge)
-        for start in range(f):
-            if visited[start]:
+        for start in range(self.n_hidden):
+            if depth[start] >= 0:
                 continue
-            roots.append(start)
-            visited[start] = True
+            depth[start] = 0
             queue = [start]
-            while queue:
-                node = queue.pop(0)
+            for node in queue:
                 for other, e in self._neighbors[node]:
-                    if not visited[other]:
-                        visited[other] = True
+                    if depth[other] < 0:
+                        depth[other] = depth[node] + 1
                         down_steps.append((node, other, e))
                         queue.append(other)
         up_steps = [(c, p, e) for (p, c, e) in reversed(down_steps)]
-        self._plan = (roots, up_steps, down_steps)
+        depth = np.array(depth)
+        colours = [units for units in (np.flatnonzero(depth % 2 == 0),
+                                       np.flatnonzero(depth % 2 == 1)) if units.size]
+        self._plan = (depth == 0, up_steps, down_steps, colours)
         return self._plan
 
 
@@ -279,13 +340,30 @@ def apply_mask(model: SbmModel) -> SbmModel:
     return model
 
 
-def sbm_energy(model: SbmModel, doc: Document, h) -> float:
-    """Energy of a (document, hidden state) pair, including tree couplings."""
+def _check_hidden(model, h) -> np.ndarray:
+    h = np.asarray(h, dtype=np.float64).ravel()
+    if h.size != model.n_hidden:
+        raise ValueError(f"hidden state length {h.size} != F={model.n_hidden}")
+    if not np.all((h == 0) | (h == 1)):
+        raise ValueError("hidden state entries must be 0 or 1")
+    return h
+
+
+def _check_doc(model, doc: Document):
     if doc.words.size and int(doc.words[-1]) >= model.n_visible:
         raise ValueError(
             f"document references word index {int(doc.words[-1])}"
             f" >= K={model.n_visible}"
         )
+
+
+def sbm_energy(model: SbmModel, doc: Document, h) -> float:
+    """Energy of a (document, hidden state) pair, including tree couplings.
+
+    -sum_jk W_jk h_j u_k - sum_k u_k b_k - D sum_j h_j a_j
+    - D sum_(j,l) Wt_jl h_j h_l, with u the word counts and D the length.
+    """
+    _check_doc(model, doc)
     h = _check_hidden(model, h)
     d = doc.length
     wu = model.W[:, doc.words] @ doc.counts.astype(np.float64)
@@ -333,7 +411,7 @@ def tree_sum_product(
     """
     b, f = theta.shape
     n_edges = structure.n_tree_edges
-    roots, up_steps, down_steps = structure._bp_plan()
+    is_root, up_steps, down_steps, _ = structure._bp_plan()
 
     u0 = np.zeros((b, f))
     u1 = theta.copy()
@@ -354,16 +432,16 @@ def tree_sum_product(
         u0[:, p] += m0
         u1[:, p] += m1
 
-    logz = np.zeros(b)
-    for r in roots:
-        logz += np.logaddexp(u0[:, r], u1[:, r])
+    # one log-partition term per tree, at its root; summing a C-ordered
+    # (B, F) array keeps the reduction order of a plain row sum
+    logz = np.logaddexp(u0, u1, where=is_root, out=np.zeros((b, f))).sum(axis=1)
 
     if not want_marginals:
         return None, None, logz
 
     bel0 = u0.copy()
     bel1 = u1.copy()
-    pairwise = np.empty((b, n_edges, 2, 2)) if (want_pairwise and n_edges) else None
+    pairwise = np.empty((b, n_edges, 2, 2)) if want_pairwise else None
     for p, c, e in down_steps:
         ex0 = bel0[:, p] - up0[:, e]
         ex1 = bel1[:, p] - up1[:, e]
@@ -394,30 +472,22 @@ def tree_sum_product(
         bel1[:, c] += d1
 
     singleton = sigmoid(bel1 - bel0)
-    if want_pairwise and n_edges == 0:
-        pairwise = np.empty((b, 0, 2, 2))
     return singleton, pairwise, logz
 
 
 def _batch_theta(model: SbmModel, counts_matrix: np.ndarray, lengths: np.ndarray):
+    """Node and edge log potentials (theta, edge_logw) for a count batch."""
     theta = counts_matrix @ model.W.T + lengths[:, None] * model.a
-    if model.structure.n_tree_edges:
-        edge_logw = lengths[:, None] * model.Wt[None, :]
-    else:
-        edge_logw = np.zeros((counts_matrix.shape[0], 0))
-    return theta, edge_logw
+    return theta, lengths[:, None] * model.Wt[None, :]
 
 
 def sbm_tree_marginals(model: SbmModel, doc: Document) -> TreePosterior:
     """Exact singleton and pairwise hidden marginals for one document."""
+    _check_doc(model, doc)
     d = doc.length
     theta = model.W[:, doc.words] @ doc.counts.astype(np.float64) + d * model.a
-    theta = theta[None, :]
-    if model.structure.n_tree_edges:
-        edge_logw = (d * model.Wt)[None, :]
-    else:
-        edge_logw = np.zeros((1, 0))
-    singleton, pairwise, logz = tree_sum_product(model.structure, theta, edge_logw)
+    edge_logw = (d * model.Wt)[None, :]
+    singleton, pairwise, logz = tree_sum_product(model.structure, theta[None, :], edge_logw)
     tables = {
         edge: pairwise[0, e] for e, edge in enumerate(model.structure.tree_edges)
     }
@@ -428,15 +498,34 @@ def sbm_tree_marginals(model: SbmModel, doc: Document) -> TreePosterior:
 # contrastive divergence
 
 
+def _softmax_rows(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def _gibbs_hidden_sweep(model, counts_matrix, lengths, h, rng, beta=1.0):
-    """One sequential Gibbs sweep over hidden units, ascending index order."""
-    base = counts_matrix @ model.W.T + lengths[:, None] * model.a
-    for j in range(model.n_hidden):
-        act = base[:, j].copy()
-        for other, e in model.structure.neighbors(j):
-            act += lengths * model.Wt[e] * h[:, other]
-        p = sigmoid(beta * act)
-        h[:, j] = rng.random(p.shape) < p
+    """One Gibbs sweep over the hidden units, updating h in place.
+
+    Tree edges only join units of opposite BFS-depth parity, so the units
+    of one colour are independent given the other colour, and each colour
+    is drawn exactly in one vectorised step (chromatic Gibbs): even depths
+    first, units ascending within a colour. A model without tree edges has
+    a single colour, so its sweep is one factorised draw of all units.
+    """
+    structure = model.structure
+    act = counts_matrix @ model.W.T + lengths[:, None] * model.a
+    if structure.n_tree_edges:
+        ej, el = structure._edge_ends
+        coupling = np.zeros((model.n_hidden, model.n_hidden))
+        coupling[ej, el] = model.Wt
+        coupling[el, ej] = model.Wt
+    for units in structure._bp_plan()[3]:
+        unit_act = act[:, units]
+        if structure.n_tree_edges:
+            unit_act += lengths[:, None] * (h @ coupling[:, units])
+        p = sigmoid(beta * unit_act)
+        h[:, units] = rng.random(p.shape) < p
     return h
 
 
@@ -457,57 +546,44 @@ def _sbm_negative_phase(model, counts_matrix, lengths, t, rng, mean_field):
     if mean_field:
         theta, edge_logw = _batch_theta(model, u, lengths)
         singleton, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
-        pair_stat = (
-            pairwise[:, :, 1, 1]
-            if model.structure.n_tree_edges
-            else np.zeros((u.shape[0], 0))
-        )
-        return singleton, pair_stat, u
+        return singleton, pairwise[:, :, 1, 1], u
     h = _gibbs_hidden_sweep(model, u, lengths, h, rng)
-    edges = model.structure.tree_edges
-    if edges:
-        pair_stat = np.stack([h[:, j] * h[:, l] for j, l in edges], axis=1)
-    else:
-        pair_stat = np.zeros((u.shape[0], 0))
-    return h, pair_stat, u
+    ej, el = model.structure._edge_ends
+    return h, h[:, ej] * h[:, el], u
 
 
-def sbm_cd_gradients(model, batch, t, rng, mean_field_negative=False):
-    """Batch-averaged CD-T gradients for W, Wt, a, b.
+def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative):
+    """Batch-averaged CD-T gradients for W, Wt, a, b of a dense count batch.
 
-    The positive phase uses exact tree posteriors; hidden and tree-coupling
-    gradients carry the per-document length factor. The W gradient is
-    restricted to structure edges.
+    lengths holds the row sums of counts_matrix. The positive phase uses
+    exact tree posteriors; hidden and tree-coupling gradients carry the
+    per-document length factor. The W gradient is restricted to structure
+    edges.
     """
-    if t < 1:
-        raise ValueError("cd_steps must be at least 1")
-    u = dense_counts(batch, model.n_visible)
-    lengths = u.sum(axis=1)
+    u = counts_matrix
     n = u.shape[0]
-
     theta, edge_logw = _batch_theta(model, u, lengths)
     e_h, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
-    e_hh = (
-        pairwise[:, :, 1, 1]
-        if model.structure.n_tree_edges
-        else np.zeros((n, 0))
-    )
-
-    grad_w = e_h.T @ u
-    grad_b = u.sum(axis=0)
-    grad_a = e_h.T @ lengths
-    grad_wt = (e_hh * lengths[:, None]).sum(axis=0)
-
     h_neg, hh_neg, u_neg = _sbm_negative_phase(
         model, u, lengths, t, rng, mean_field_negative
     )
-    grad_w -= h_neg.T @ u_neg
-    grad_b -= u_neg.sum(axis=0)
-    grad_a -= h_neg.T @ lengths
+    grad_w = np.where(model.structure.mask(), e_h.T @ u - h_neg.T @ u_neg, 0.0)
+    grad_wt = (pairwise[:, :, 1, 1] * lengths[:, None]).sum(axis=0)
     grad_wt -= (hh_neg * lengths[:, None]).sum(axis=0)
+    return {
+        "W": grad_w / n,
+        "Wt": grad_wt / n,
+        "a": (e_h.T @ lengths - h_neg.T @ lengths) / n,
+        "b": (u.sum(axis=0) - u_neg.sum(axis=0)) / n,
+    }
 
-    grad_w = np.where(model.structure.mask(), grad_w, 0.0)
-    return {"W": grad_w / n, "Wt": grad_wt / n, "a": grad_a / n, "b": grad_b / n}
+
+def sbm_cd_gradients(model, batch, t, rng, mean_field_negative=False):
+    """cd_gradients for a list of documents."""
+    if t < 1:
+        raise ValueError("cd_steps must be at least 1")
+    u = dense_counts(batch, model.n_visible)
+    return cd_gradients(model, u, u.sum(axis=1), t, rng, mean_field_negative)
 
 
 def sbm_cd_step(
@@ -528,21 +604,32 @@ def sbm_cd_step(
     return apply_mask(SbmModel(model.structure, w, wt, a, b))
 
 
-def init_sbm_model(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> SbmModel:
-    """Fresh model: on-structure W ~ Normal(0, std^2), tree weights zero."""
-    rng = rng_from(config.seed, _INIT_STREAM)
+def _bias_lr_factor(config: TrainConfig, corpus: Corpus) -> float:
+    if config.hidden_bias_lr_scale == "auto":
+        total = sum(doc.length for doc in corpus.docs)
+        return 1.0 / max(1.0, total / max(1, corpus.n_docs))
+    return float(config.hidden_bias_lr_scale)
+
+
+def _init_model(corpus: Corpus, structure: SbmStructure, config: TrainConfig, rng):
+    """On-structure W ~ Normal(0, std^2), tree weights and hidden biases zero,
+    visible biases zero or log-frequency."""
     w = rng.normal(
         0.0, config.weight_init_std, size=(structure.n_hidden, structure.n_visible)
     )
     w = np.where(structure.mask(), w, 0.0)
-    wt = np.zeros(structure.n_tree_edges)
-    a = np.zeros(structure.n_hidden)
     if config.visible_bias_init == "log-frequency":
         counts = corpus.total_counts().astype(np.float64)
         b = np.log((counts + 1.0) / (counts.sum() + corpus.n_words))
     else:
         b = np.zeros(corpus.n_words)
-    return SbmModel(structure, w, wt, a, b)
+    return SbmModel(structure, w, np.zeros(structure.n_tree_edges),
+                    np.zeros(structure.n_hidden), b)
+
+
+def init_sbm_model(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> SbmModel:
+    """Fresh model: on-structure W ~ Normal(0, std^2), tree weights zero."""
+    return _init_model(corpus, structure, config, rng_from(config.seed, _INIT_STREAM))
 
 
 def sbm_fit(
@@ -553,13 +640,19 @@ def sbm_fit(
     rng: np.random.Generator | None = None,
     epoch_offset: int = 0,
 ) -> SbmModel:
-    """CD training epochs on a copy of the model; mask holds throughout."""
+    """CD training epochs on a copy of the model; mask holds throughout.
+
+    epoch_offset shifts the minibatch shuffle stream so that resumed
+    training (e.g. prune/retrain cycles) does not replay earlier epochs'
+    batch orders.
+    """
     if epochs is None:
         epochs = config.epochs
     if rng is None:
         rng = rng_from(config.seed, _CD_STREAM)
     work = apply_mask(model.copy())
-    vel = None
+    params = (work.W, work.Wt, work.a, work.b)
+    velocity = [np.zeros_like(p) for p in params]
     dense = corpus.counts_matrix()
     lr = config.learning_rate
     lr_h = lr * _bias_lr_factor(config, corpus)
@@ -569,54 +662,19 @@ def sbm_fit(
             corpus.n_docs, config.batch_size, config.seed, epoch_offset + epoch
         )
         for idx in batches:
-            batch_u = dense[idx]
-            lengths = batch_u.sum(axis=1)
-            n = batch_u.shape[0]
-
-            theta, edge_logw = _batch_theta(work, batch_u, lengths)
-            e_h, pairwise, _ = tree_sum_product(work.structure, theta, edge_logw)
-            e_hh = (
-                pairwise[:, :, 1, 1]
-                if work.structure.n_tree_edges
-                else np.zeros((n, 0))
-            )
-            gw = e_h.T @ batch_u
-            gb = batch_u.sum(axis=0)
-            ga = e_h.T @ lengths
-            gwt = (e_hh * lengths[:, None]).sum(axis=0)
-
-            h_neg, hh_neg, u_neg = _sbm_negative_phase(
-                work, batch_u, lengths, config.cd_steps, rng,
-                config.mean_field_negative,
-            )
-            gw -= h_neg.T @ u_neg
-            gb -= u_neg.sum(axis=0)
-            ga -= h_neg.T @ lengths
-            gwt -= (hh_neg * lengths[:, None]).sum(axis=0)
-
-            gw = np.where(work.structure.mask(), gw, 0.0) / n
-            ga /= n
-            gb /= n
-            gwt /= n
+            u = dense[idx]
+            g = cd_gradients(work, u, u.sum(axis=1), config.cd_steps, rng,
+                             config.mean_field_negative)
             if config.weight_decay:
-                gw -= config.weight_decay * work.W
-            if mom:
-                if vel is None:
-                    vel = [np.zeros_like(x) for x in (work.W, work.Wt, work.a, work.b)]
-                for v, g, rate in zip(
-                    vel, (gw, gwt, ga, gb), (lr, lr_h, lr_h, lr)
-                ):
+                g["W"] -= config.weight_decay * work.W
+            grads = (g["W"], g["Wt"], g["a"], g["b"])
+            for p, v, grad, rate in zip(params, velocity, grads, (lr, lr_h, lr_h, lr)):
+                if mom:
                     v *= mom
-                    v += rate * g
-                work.W += vel[0]
-                work.Wt += vel[1]
-                work.a += vel[2]
-                work.b += vel[3]
-            else:
-                work.W += lr * gw
-                work.Wt += lr_h * gwt
-                work.a += lr_h * ga
-                work.b += lr * gb
+                    v += rate * grad
+                    p += v
+                else:
+                    p += rate * grad
             apply_mask(work)
     return work
 
@@ -637,7 +695,84 @@ def sbm_train(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> S
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: versioned plain-text sections, bit-exact float round trip
+
+_MAGIC = "sparsebm"
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def write_sections(path, kind: str, sections) -> None:
+    """Write "sparsebm <kind> 1" followed by [name] sections of lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_MAGIC} {kind} 1\n")
+        for name, lines in sections:
+            fh.write(f"[{name}]\n")
+            for line in lines:
+                fh.write(line + "\n")
+
+
+def read_sections(path, expected_kind: str):
+    """Parse a sectioned file; returns {section_name: [lines]}."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 3 or header[0] != _MAGIC:
+            raise FileFormatError(f"{path}: not a {_MAGIC} file")
+        kind, version = header[1], header[2]
+        if kind != expected_kind:
+            raise FileFormatError(
+                f"{path}: expected kind {expected_kind!r}, found {kind!r}"
+            )
+        if version != "1":
+            raise FileFormatError(f"{path}: unsupported format version {version}")
+        sections: dict[str, list[str]] = {}
+        current = None
+        for ln, raw in enumerate(fh, start=2):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                current = line[1:-1]
+                if current in sections:
+                    raise FileFormatError(
+                        f"{path}: duplicate section {current!r} at line {ln}"
+                    )
+                sections[current] = []
+            elif current is None:
+                raise FileFormatError(f"{path}: content before any section at line {ln}")
+            else:
+                sections[current].append(line)
+    return sections
+
+
+def _parse_dims(sections, path, *names):
+    if "dims" not in sections:
+        raise FileFormatError(f"{path}: missing [dims] section")
+    dims = {}
+    for line in sections["dims"]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise FileFormatError(f"{path}: malformed dims line {line!r}")
+        dims[parts[0]] = int(parts[1])
+    for name in names:
+        if name not in dims:
+            raise FileFormatError(f"{path}: [dims] missing {name}")
+    return tuple(dims[n] for n in names)
+
+
+def _parse_vector(sections, name, size, path):
+    if name not in sections:
+        raise FileFormatError(f"{path}: missing [{name}] section")
+    values = []
+    for line in sections[name]:
+        values.extend(float(tok) for tok in line.split())
+    if len(values) != size:
+        raise FileFormatError(
+            f"{path}: [{name}] holds {len(values)} values, expected {size}"
+        )
+    return np.array(values, dtype=np.float64)
 
 
 def save_structure(structure: SbmStructure, path) -> None:
@@ -720,11 +855,11 @@ def load_sbm_model(path) -> SbmModel:
         tree_weights.append(float(parts[2]))
     structure = SbmStructure(f, k, visible, tree)
     w = np.zeros((f, k))
-    for (j, kk), value in zip(visible, weights):
-        w[j, kk] = value
+    rows, cols = np.array(visible, dtype=np.int64).reshape(-1, 2).T
+    w[rows, cols] = weights
     wt = np.zeros(structure.n_tree_edges)
     for (j, l), value in zip(tree, tree_weights):
-        wt[structure.tree_edges.index((min(j, l), max(j, l)))] = value
+        wt[structure.edge_index[(min(j, l), max(j, l))]] = value
     a = _parse_vector(sections, "a", f, path)
     b = _parse_vector(sections, "b", k, path)
     return SbmModel(structure, w, wt, a, b)

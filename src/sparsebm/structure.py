@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import FileFormatError, StructureError
-from .sbm import SbmModel, SbmStructure, tree_sum_product
+from .sbm import SbmModel, SbmStructure, _batch_theta, tree_sum_product
 
 # 99% quantile of chi-squared with one degree of freedom; 2*N*MI of two
 # independent binary variables is asymptotically chi-squared(1), so this
@@ -376,12 +376,7 @@ def _posterior_pass(model: SbmModel, counts: np.ndarray):
     Returns (singleton (B,F), pairwise (B,E,2,2), cond[jp][v] (B,F)) where
     cond[jp][v][n, j] = P(h_j = 1 | doc n, h_jp = v).
     """
-    lengths = counts.sum(axis=1)
-    theta = counts @ model.W.T + lengths[:, None] * model.a
-    if model.structure.n_tree_edges:
-        edge_logw = lengths[:, None] * model.Wt[None, :]
-    else:
-        edge_logw = np.zeros((counts.shape[0], 0))
+    theta, edge_logw = _batch_theta(model, counts, counts.sum(axis=1))
     singleton, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
     cond = []
     for jp in range(model.n_hidden):
@@ -402,9 +397,8 @@ def _posterior_pass(model: SbmModel, counts: np.ndarray):
 def _pair_joint(model, singleton, pairwise, cond, j, jp):
     """P(h_j, h_jp | doc) per document, shape (B, 2, 2), axes (h_j, h_jp)."""
     structure = model.structure
-    edge = (min(j, jp), max(j, jp))
-    if edge in structure.tree_edges:
-        e = structure.tree_edges.index(edge)
+    e = structure.edge_index.get((min(j, jp), max(j, jp)))
+    if e is not None:
         table = pairwise[:, e]
         if j < jp:
             return table
@@ -499,16 +493,10 @@ def estimate_cmi(tree_model: SbmModel, corpus: Corpus, j: int, v: int) -> float:
     for start in range(0, n, _CMI_CHUNK):
         chunk = slice(start, min(start + _CMI_CHUNK, n))
         counts = dense[chunk]
-        lengths = counts.sum(axis=1)
-        theta = counts @ tree_model.W.T + lengths[:, None] * tree_model.a
-        if structure.n_tree_edges:
-            edge_logw = lengths[:, None] * tree_model.Wt[None, :]
-        else:
-            edge_logw = np.zeros((counts.shape[0], 0))
+        theta, edge_logw = _batch_theta(tree_model, counts, counts.sum(axis=1))
         singleton, pairwise, _ = tree_sum_product(structure, theta, edge_logw)
         cond = [None] * structure.n_hidden
-        edge = (min(j, jp), max(j, jp))
-        if edge not in structure.tree_edges and (
+        if (min(j, jp), max(j, jp)) not in structure.edge_index and (
             structure.component[j] == structure.component[jp]
         ):
             per_value = []

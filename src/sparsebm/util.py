@@ -23,11 +23,6 @@ def sigmoid(x):
     return expit(x)
 
 
-def softplus(x):
-    """log(1 + exp(x)) without overflow."""
-    return np.logaddexp(0.0, x)
-
-
 def log_mean_exp(values) -> float:
     """log of the arithmetic mean of exp(values), computed stably."""
     values = np.asarray(values, dtype=np.float64)

@@ -54,6 +54,22 @@ class TestDispatch:
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
 
+    def test_bad_pruned_model_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "bad.rs"
+        model.write_text(
+            "sparsebm rs-model 1\n[dims]\nF 1\nK 2\n[W]\n0.5 0.0\n"
+            "[a]\n0.0\n[b]\n0.0 0.0\n[mask]\n5 1\n"
+        )
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("a 1.0 0.0\nb 0.0 1.0\n")
+        code = run(["interpret", "--model", model, "--vocab", vocab,
+                    "--embeddings", emb])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.rs" in err and "out of range" in err
+
     def test_threads_env_fallback(self, monkeypatch):
         from sparsebm.cli import build_parser
 
@@ -198,6 +214,25 @@ class TestPipeline:
         assert run(["pipeline", "--config", config_path]) == 0
         output = capsys.readouterr().out
         assert output.count("cached") >= 8
+
+    def test_pipeline_reruns_stages_after_code_change(self, small_corpus_files,
+                                                      tmp_path, capsys, monkeypatch):
+        from sparsebm import cli
+
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        config["variants"] = ["rs_plus"]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 0
+        capsys.readouterr()
+        assert run(["pipeline", "--config", config_path]) == 0
+        output = capsys.readouterr().out
+        assert output.count("cached") == 6 and "done in" not in output
+        monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+        assert run(["pipeline", "--config", config_path]) == 0
+        output = capsys.readouterr().out
+        assert "cached" not in output and output.count("done in") == 6
 
     def test_pipeline_missing_corpus_fails_before_stages(self, tmp_path, capsys):
         cfg = {

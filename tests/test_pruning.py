@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsebm.errors import FileFormatError
 from sparsebm.pruning import (
     PruneConfig,
     load_pruned_rs,
@@ -135,6 +136,38 @@ class TestPrunedSerialization:
         loaded, mask = load_pruned_rs(tmp_path / "m.rs")
         assert mask is None
         assert np.array_equal(loaded.W, model.W)
+
+
+class TestPrunedInputValidation:
+    def write(self, path, mask_lines, w=((0.5, 0.0), (0.0, 0.25))):
+        rows = "\n".join(" ".join(repr(x) for x in row) for row in w)
+        path.write_text(
+            "sparsebm rs-model 1\n[dims]\nF 2\nK 2\n"
+            f"[W]\n{rows}\n[a]\n0.0 0.0\n[b]\n0.0 0.0\n"
+            "[mask]\n" + "\n".join(mask_lines) + "\n"
+        )
+        return path
+
+    def test_valid_mask_loads_on_its_structure(self, tmp_path):
+        model, mask = load_pruned_rs(self.write(tmp_path / "m.rs", ["0 0", "1 1"]))
+        assert mask.tolist() == [[True, False], [False, True]]
+        assert np.array_equal(model.structure.mask(), mask)
+        assert model.structure.n_tree_edges == 0
+
+    def test_negative_index_rejected(self, tmp_path):
+        path = self.write(tmp_path / "m.rs", ["0 0", "-1 1"])
+        with pytest.raises(FileFormatError, match=r"m\.rs.*'-1 1'.*out of range"):
+            load_pruned_rs(path)
+
+    def test_index_past_the_end_rejected(self, tmp_path):
+        path = self.write(tmp_path / "m.rs", ["0 0", "5 1"])
+        with pytest.raises(FileFormatError, match=r"m\.rs.*'5 1'.*out of range"):
+            load_pruned_rs(path)
+
+    def test_weight_outside_mask_rejected(self, tmp_path):
+        path = self.write(tmp_path / "m.rs", ["0 0", "1 0"])
+        with pytest.raises(FileFormatError, match=r"m\.rs.*W\[1, 1\].*outside the mask"):
+            load_pruned_rs(path)
 
 
 class TestPruneConfig:

@@ -8,6 +8,7 @@ from sparsebm.replicated_softmax import TrainConfig, rs_energy, rs_hidden_condit
 from sparsebm.sbm import (
     SbmModel,
     SbmStructure,
+    _gibbs_hidden_sweep,
     apply_mask,
     init_sbm_model,
     load_sbm_model,
@@ -248,6 +249,42 @@ class TestGibbsChainEquilibrium:
             # 3-sigma band inflated slightly for chain autocorrelation
             assert abs(freq[s_idx] - p) < max(4 * sigma, 5e-4), (
                 s_idx, freq[s_idx], p)
+
+
+    @pytest.mark.parametrize("beta", [1.0, 0.4])
+    def test_package_sweep_matches_enumerated_distribution(self, beta):
+        # many independent chains at fixed counts through the package's own
+        # block sweep; unit 0 branches to 1, 2 and 3, 3 continues to 4, and
+        # unit 5 is isolated. At beta < 1 the target is the posterior of the
+        # model with W, Wt and a scaled by beta.
+        import time
+
+        t0 = time.time()
+        rng = np.random.default_rng(12)
+        f, k = 6, 4
+        s = SbmStructure(f, k, [(j, j % k) for j in range(f)] + [(0, 3), (4, 1)],
+                         [(0, 1), (0, 2), (0, 3), (3, 4)])
+        w = np.where(s.mask(), rng.normal(0, 0.6, (f, k)), 0.0)
+        wt = rng.normal(0, 0.5, s.n_tree_edges)
+        a = rng.normal(0, 0.3, f)
+        model = SbmModel(s, w, wt, a, np.zeros(k))
+        doc = Document([0, 1, 3], [1, 2, 1])
+        target, _ = brute_posterior(SbmModel(s, beta * w, beta * wt, beta * a,
+                                             np.zeros(k)), doc)
+
+        chains = 40000
+        counts = np.tile(doc.to_dense(k), (chains, 1))
+        lengths = counts.sum(axis=1)
+        h = np.zeros((chains, f))
+        sweep_rng = rng_from(0, 12)
+        for _ in range(30):
+            h = _gibbs_hidden_sweep(model, counts, lengths, h, sweep_rng, beta=beta)
+        state = (h @ (2.0 ** np.arange(f))).astype(np.int64)
+        freq = np.bincount(state, minlength=2**f) / chains
+        sigma = np.sqrt(target * (1 - target) / chains)
+        # independent chains: a 5-sigma band per state, plus 1e-3 slack
+        assert np.all(np.abs(freq - target) < 5 * sigma + 1e-3), np.abs(freq - target).max()
+        assert time.time() - t0 < 20.0
 
 
 class TestCd:
