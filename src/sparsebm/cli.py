@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -67,12 +66,13 @@ def _model_kind(path):
 
 
 def _load_any_model(path):
-    """Sniff the file kind; returns (model, mask_or_None)."""
+    """Sniff the file kind and load the model; a pruned RS model comes back
+    on its mask's structure."""
     kind = _model_kind(path)
     if kind == "rs-model":
-        return pruning.load_pruned_rs(path)
+        return pruning.load_pruned_rs(path)[0]
     if kind == "sbm-model":
-        return sbm_mod.load_sbm_model(path), None
+        return sbm_mod.load_sbm_model(path)
     raise SparsebmError(f"{path}: unsupported model kind {kind!r}")
 
 
@@ -301,7 +301,7 @@ def cmd_prune(args):
     t0 = time.time()
     corpus = _load_corpus(args.corpus)
     if _model_kind(args.model) != "rs-model":
-        raise SparsebmError("prune expects a dense RS model")
+        raise SparsebmError("prune expects an RS model")
     model, _ = pruning.load_pruned_rs(args.model)
     if args.target is not None:
         target = args.target
@@ -331,7 +331,7 @@ def cmd_prune(args):
 
 def cmd_eval(args):
     t0 = time.time()
-    model, _ = _load_any_model(args.model)
+    model = _load_any_model(args.model)
     corpus = _load_corpus(args.docs)
     docs = list(corpus.docs)
     if args.max_docs is not None and args.max_docs < len(docs):
@@ -366,7 +366,7 @@ def cmd_eval(args):
 
 def cmd_interpret(args):
     t0 = time.time()
-    model, mask = _load_any_model(args.model)
+    model = _load_any_model(args.model)
     vocab_path = Path(args.vocab)
     if not vocab_path.exists():
         vocab_path = _corpus_paths(args.vocab)[1]
@@ -378,10 +378,10 @@ def cmd_interpret(args):
     emb = evaluation.load_embeddings(args.embeddings)
     rows = []
     for j in range(model.n_hidden):
-        words = evaluation.unit_top_words(model, vocab, j, args.top_n, mask)
-        score = evaluation.interpretability_unit(model, vocab, j, emb, args.top_n, mask)
+        words = evaluation.unit_top_words(model, vocab, j, args.top_n)
+        score = evaluation.interpretability_unit(model, vocab, j, emb, args.top_n)
         rows.append((j, score, words))
-    overall = evaluation.interpretability_model(model, vocab, emb, args.top_n, mask)
+    overall = evaluation.interpretability_model(model, vocab, emb, args.top_n)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write("unit\tscore\ttop_words\n")
@@ -576,7 +576,7 @@ def cmd_pipeline(args):
         target = prune_cfg_in.get("target_per_unit", int(expanded.degrees().max()))
 
         def build_pruned():
-            model, _ = _load_any_model(out / "rs_plus.rs")
+            model = _load_any_model(out / "rs_plus.rs")
             config = pruning.PruneConfig(
                 target_per_unit=target,
                 prune_fraction=prune_cfg_in.get("prune_fraction", 0.2),
@@ -623,7 +623,7 @@ def cmd_pipeline(args):
     def build_report():
         rows = []
         for idx, (variant, path) in enumerate(sorted(model_paths.items())):
-            model, _ = _load_any_model(path)
+            model = _load_any_model(path)
             lp, _ = evaluation.held_out_log_probs(
                 model, docs, schedule, runs, rng_from(eval_seed, _EVAL_STREAM, idx),
                 eval_cfg.get("include_multinomial", False),
@@ -650,9 +650,6 @@ def cmd_pipeline(args):
 
 def build_parser():
     parser = _Parser(prog="sparsebm", description=__doc__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SPARSEBM_THREADS", "1")),
-                        help="parallelism budget hint, recorded in manifests")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("prepare", help="load, filter and split a UCI corpus")
@@ -703,7 +700,7 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("prune", help="magnitude-prune and retrain a dense model")
+    p = sub.add_parser("prune", help="magnitude-prune and retrain an RS model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--target", type=int, default=None)

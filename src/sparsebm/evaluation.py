@@ -395,12 +395,11 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(vectors, dim)
 
 
-def unit_top_words(model, vocab, j: int, top_n: int = 10, mask=None):
+def unit_top_words(model, vocab, j: int, top_n: int = 10):
     """The unit's top words by absolute weight, ties toward lower index.
 
     Only the unit's connected words compete, which for a pruned model are
-    the words its mask keeps; the mask argument is accepted for
-    compatibility and adds nothing to the model's own structure.
+    the words its mask keeps.
     """
     if not 0 <= j < model.n_hidden:
         raise ValueError(f"hidden index {j} out of range")
@@ -419,14 +418,14 @@ def _cosine(u, v) -> float:
 
 
 def interpretability_unit(
-    model, vocab, j: int, emb: EmbeddingTable, top_n: int = 10, mask=None
+    model, vocab, j: int, emb: EmbeddingTable, top_n: int = 10
 ) -> float:
     """Mean pairwise cosine similarity of the unit's top-weighted words.
 
     Words missing from the table (or with a zero vector) are skipped; with
     fewer than two surviving words the score is 0.
     """
-    words = unit_top_words(model, vocab, j, top_n, mask)
+    words = unit_top_words(model, vocab, j, top_n)
     vecs = [emb.get(w) for w in words]
     vecs = [v for v in vecs if v is not None and np.linalg.norm(v) > 0.0]
     if len(vecs) < 2:
@@ -441,11 +440,11 @@ def interpretability_unit(
 
 
 def interpretability_model(
-    model, vocab, emb: EmbeddingTable, top_n: int = 10, mask=None
+    model, vocab, emb: EmbeddingTable, top_n: int = 10
 ) -> float:
     """Model score: mean of the per-unit compactness over all hidden units."""
     scores = [
-        interpretability_unit(model, vocab, j, emb, top_n, mask)
+        interpretability_unit(model, vocab, j, emb, top_n)
         for j in range(model.n_hidden)
     ]
     return float(np.mean(scores))

@@ -82,15 +82,19 @@ def prune_step(model: SbmModel, mask: np.ndarray, keep_per_unit: int):
 def prune_and_retrain(model: SbmModel, corpus: Corpus, config: PruneConfig) -> PruneResult:
     """Iterate prune_step and masked retraining down to the target budget.
 
-    Each iteration keeps ceil((1 - prune_fraction) * current) connections
-    per unit, floored at the target, then retrains under the mask. The
-    returned log records (iteration, per-unit count, epochs) per round.
+    Pruning starts from the model's own structure, so an already pruned
+    model only loses connections. Each iteration keeps
+    ceil((1 - prune_fraction) * current) connections per unit, floored at
+    the target, then retrains under the mask. The returned log records
+    (iteration, per-unit count, epochs) per round.
     """
-    k = model.n_visible
-    if config.target_per_unit > k:
-        raise ValueError(f"target_per_unit={config.target_per_unit} exceeds K={k}")
-    mask = np.ones_like(model.W, dtype=bool)
-    current = k
+    mask = model.structure.mask()
+    current = int(mask.sum(axis=1).min())
+    if config.target_per_unit > current:
+        raise ValueError(
+            f"target_per_unit={config.target_per_unit} exceeds the model's"
+            f" smallest per-unit connection count {current}"
+        )
     work = model.copy()
     iterations = []
     total_epochs = 0

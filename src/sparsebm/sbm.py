@@ -23,8 +23,6 @@ from .util import rng_from, sigmoid
 _INIT_STREAM = 31
 _CD_STREAM = 32
 
-_NEG_INF = -np.inf
-
 
 @dataclass
 class TrainConfig:
@@ -395,15 +393,11 @@ def tree_sum_product(
     theta: np.ndarray,
     edge_logw: np.ndarray,
     want_marginals: bool = True,
-    want_pairwise: bool = True,
-    clamp=None,
 ):
     """Sum-product over the hidden forest for a batch of documents.
 
     theta[n, j] is the log node potential for h_j = 1 (the h_j = 0 potential
     is 0); edge_logw[n, e] is the log edge potential for both endpoints on.
-    clamp is an optional {node: value} dict fixing hidden states, used for
-    conditioned inference.
 
     Returns (singleton, pairwise, logz) where singleton is (B, F), pairwise
     (B, E, 2, 2) indexed by the canonical (lower, higher) edge endpoints, and
@@ -415,12 +409,6 @@ def tree_sum_product(
 
     u0 = np.zeros((b, f))
     u1 = theta.copy()
-    if clamp:
-        for node, value in clamp.items():
-            if value == 0:
-                u1[:, node] = _NEG_INF
-            else:
-                u0[:, node] = _NEG_INF
 
     up0 = np.empty((b, n_edges)) if n_edges else None
     up1 = np.empty((b, n_edges)) if n_edges else None
@@ -441,31 +429,30 @@ def tree_sum_product(
 
     bel0 = u0.copy()
     bel1 = u1.copy()
-    pairwise = np.empty((b, n_edges, 2, 2)) if want_pairwise else None
+    pairwise = np.empty((b, n_edges, 2, 2))
     for p, c, e in down_steps:
         ex0 = bel0[:, p] - up0[:, e]
         ex1 = bel1[:, p] - up1[:, e]
-        if want_pairwise:
-            # joint over (parent, child) before orientation
-            t00 = ex0 + u0[:, c]
-            t01 = ex0 + u1[:, c]
-            t10 = ex1 + u0[:, c]
-            t11 = ex1 + u1[:, c] + edge_logw[:, e]
-            stack = np.stack([t00, t01, t10, t11], axis=1)
-            stack -= stack.max(axis=1, keepdims=True)
-            tab = np.exp(stack)
-            tab /= tab.sum(axis=1, keepdims=True)
-            j, _ = structure.tree_edges[e]
-            if p == j:  # parent is the lower endpoint: table rows are h_j
-                pairwise[:, e, 0, 0] = tab[:, 0]
-                pairwise[:, e, 0, 1] = tab[:, 1]
-                pairwise[:, e, 1, 0] = tab[:, 2]
-                pairwise[:, e, 1, 1] = tab[:, 3]
-            else:
-                pairwise[:, e, 0, 0] = tab[:, 0]
-                pairwise[:, e, 0, 1] = tab[:, 2]
-                pairwise[:, e, 1, 0] = tab[:, 1]
-                pairwise[:, e, 1, 1] = tab[:, 3]
+        # joint over (parent, child) before orientation
+        t00 = ex0 + u0[:, c]
+        t01 = ex0 + u1[:, c]
+        t10 = ex1 + u0[:, c]
+        t11 = ex1 + u1[:, c] + edge_logw[:, e]
+        stack = np.stack([t00, t01, t10, t11], axis=1)
+        stack -= stack.max(axis=1, keepdims=True)
+        tab = np.exp(stack)
+        tab /= tab.sum(axis=1, keepdims=True)
+        j, _ = structure.tree_edges[e]
+        if p == j:  # parent is the lower endpoint: table rows are h_j
+            pairwise[:, e, 0, 0] = tab[:, 0]
+            pairwise[:, e, 0, 1] = tab[:, 1]
+            pairwise[:, e, 1, 0] = tab[:, 2]
+            pairwise[:, e, 1, 1] = tab[:, 3]
+        else:
+            pairwise[:, e, 0, 0] = tab[:, 0]
+            pairwise[:, e, 0, 1] = tab[:, 2]
+            pairwise[:, e, 1, 0] = tab[:, 1]
+            pairwise[:, e, 1, 1] = tab[:, 3]
         d0 = np.logaddexp(ex0, ex1)
         d1 = np.logaddexp(ex0, ex1 + edge_logw[:, e])
         bel0[:, c] += d0

@@ -304,22 +304,30 @@ def load_skeleton(path, n_visible: int) -> Skeleton:
         for v in g:
             if not 0 <= v < n_visible:
                 raise StructureError(f"visible index {v} out of range")
-    seen = set()
-    for g in groups:
-        for v in g:
-            if v in seen:
-                raise StructureError(f"visible {v} assigned twice")
-            seen.add(v)
-    for v in range(n_visible):
-        if v not in seen:
-            raise StructureError(f"visible {v} unassigned")
     skeleton = Skeleton(groups=groups, tree_edges=tree, provenance="loaded")
-    skeleton.provenance = "loaded"
+    # Skeleton checks the cover of 0..max; words above the largest index are
+    # checked here
+    if skeleton.n_visible < n_visible:
+        raise StructureError(f"visible {skeleton.n_visible} unassigned")
     return skeleton
 
 
 # ---------------------------------------------------------------------------
 # conditional mutual information
+
+
+def _cmi(joint: np.ndarray) -> np.ndarray:
+    """CMI over the last three axes (hidden, conditioner, word) of joint.
+
+    Each 2x2x2 block is normalised to a distribution first; zero cells
+    contribute zero. Natural log.
+    """
+    p = joint / joint.sum(axis=(-3, -2, -1), keepdims=True)
+    p_zp = p.sum(axis=(-3, -1), keepdims=True)
+    block = np.divide(p, p_zp, out=np.zeros_like(p), where=p_zp > 0)  # p(z, v | z')
+    indep = block.sum(axis=-1, keepdims=True) * block.sum(axis=-3, keepdims=True)
+    ratio = np.divide(block, indep, out=np.ones_like(p), where=p > 0)
+    return (p * np.log(ratio)).sum(axis=(-3, -2, -1))
 
 
 def cmi_from_joint(joint: np.ndarray) -> float:
@@ -331,24 +339,9 @@ def cmi_from_joint(joint: np.ndarray) -> float:
     joint = np.asarray(joint, dtype=np.float64)
     if joint.shape != (2, 2, 2):
         raise ValueError("joint must be a 2x2x2 array")
-    total = joint.sum()
-    if total <= 0:
+    if joint.sum() <= 0:
         raise ValueError("joint must have positive mass")
-    p = joint / total
-    p_zp = p.sum(axis=(0, 2))
-    out = 0.0
-    for zp in range(2):
-        if p_zp[zp] <= 0:
-            continue
-        block = p[:, zp, :] / p_zp[zp]  # p(z, v | z')
-        pz = block.sum(axis=1)
-        pv = block.sum(axis=0)
-        for z in range(2):
-            for v in range(2):
-                cell = block[z, v]
-                if cell > 0:
-                    out += p_zp[zp] * cell * np.log(cell / (pz[z] * pv[v]))
-    return float(out)
+    return float(_cmi(joint))
 
 
 def _skeleton_owner(structure: SbmStructure) -> np.ndarray:
@@ -370,54 +363,40 @@ def _skeleton_owner(structure: SbmStructure) -> np.ndarray:
     return owner
 
 
-def _posterior_pass(model: SbmModel, counts: np.ndarray):
-    """Unclamped and clamped posteriors for a batch of documents.
+def _pair_joints(model: SbmModel, counts: np.ndarray, conditioners):
+    """P(h_j, h_jp | doc) for every unit j, from one sum-product pass.
 
-    Returns (singleton (B,F), pairwise (B,E,2,2), cond[jp][v] (B,F)) where
-    cond[jp][v][n, j] = P(h_j = 1 | doc n, h_jp = v).
+    Yields (jp, joint) per conditioner jp, joint of shape (F, 2, 2, B) with
+    axes (j, h_j, h_jp, doc). The posterior is Markov on the tree, so inside
+    jp's tree the joint chains the edge conditionals P(h_y | h_x) =
+    pairwise / marginal outward from jp; units in other trees are
+    independent of jp, their joint the product of the two marginals.
     """
-    theta, edge_logw = _batch_theta(model, counts, counts.sum(axis=1))
-    singleton, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
-    cond = []
-    for jp in range(model.n_hidden):
-        per_value = []
-        for value in (0, 1):
-            s, _, _ = tree_sum_product(
-                model.structure,
-                theta,
-                edge_logw,
-                want_pairwise=False,
-                clamp={jp: value},
-            )
-            per_value.append(s)
-        cond.append(per_value)
-    return singleton, pairwise, cond
-
-
-def _pair_joint(model, singleton, pairwise, cond, j, jp):
-    """P(h_j, h_jp | doc) per document, shape (B, 2, 2), axes (h_j, h_jp)."""
     structure = model.structure
-    e = structure.edge_index.get((min(j, jp), max(j, jp)))
-    if e is not None:
-        table = pairwise[:, e]
-        if j < jp:
-            return table
-        return np.transpose(table, (0, 2, 1))
-    p_jp1 = singleton[:, jp]
-    if structure.component[j] != structure.component[jp]:
-        p_j1 = singleton[:, j]
-        out = np.empty((singleton.shape[0], 2, 2))
-        out[:, 1, 1] = p_j1 * p_jp1
-        out[:, 1, 0] = p_j1 * (1 - p_jp1)
-        out[:, 0, 1] = (1 - p_j1) * p_jp1
-        out[:, 0, 0] = (1 - p_j1) * (1 - p_jp1)
-        return out
-    out = np.empty((singleton.shape[0], 2, 2))
-    for value, weight in ((0, 1.0 - p_jp1), (1, p_jp1)):
-        c = cond[jp][value][:, j]
-        out[:, 1, value] = c * weight
-        out[:, 0, value] = (1 - c) * weight
-    return out
+    theta, edge_logw = _batch_theta(model, counts, counts.sum(axis=1))
+    singleton, pairwise, _ = tree_sum_product(structure, theta, edge_logw)
+    # keep the document axis contiguous: the walks make ~F^2 passes over it
+    p_on = np.ascontiguousarray(singleton.T)
+    marginal = np.stack([1.0 - p_on, p_on], axis=1)  # (F, 2, B)
+    tables = np.ascontiguousarray(np.moveaxis(pairwise, 0, -1))  # (E, h_lo, h_hi, B)
+    cond = {}  # (x, y) -> P(h_y | h_x), axes (h_x, h_y, doc)
+    for e, (lo, hi) in enumerate(structure.tree_edges):
+        for x, y, tab in ((lo, hi, tables[e]), (hi, lo, tables[e].transpose(1, 0, 2))):
+            mass = tab.sum(axis=1, keepdims=True)
+            cond[x, y] = np.divide(tab, mass, out=np.zeros_like(tab), where=mass > 0)
+    eye = np.eye(2)[:, :, None]
+    for jp in conditioners:
+        joint = marginal[:, :, None, :] * marginal[jp][None, None, :, :]
+        joint[jp] = eye * marginal[jp][:, None, :]
+        walk = [(jp, -1)]
+        for x, parent in walk:
+            for y, _ in structure.neighbors(x):
+                if y != parent:
+                    c = cond[x, y]
+                    joint[y] = (c[0, :, None] * joint[x, 0, None]
+                                + c[1, :, None] * joint[x, 1, None])
+                    walk.append((y, x))
+        yield jp, joint
 
 
 _CMI_CHUNK = 2048
@@ -428,49 +407,36 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
 
     For each pair, the joint over (posterior of the unit, posterior of the
     word's owner, word presence) is accumulated over all documents and fed
-    through the CMI formula. Posteriors come from exact inference in the
-    tree model; non-adjacent hidden pairs use conditioned inference runs.
+    through the CMI formula. Posteriors come from one exact sum-product pass
+    over the tree model per chunk of documents.
     """
     structure = tree_model.structure
-    _skeleton_owner(structure)  # validates the partition property
+    owner = _skeleton_owner(structure)
     f = structure.n_hidden
     k = structure.n_visible
     n = corpus.n_docs
     occ = corpus.occurrence_matrix()
     dense = corpus.counts_matrix()
 
-    # accumulators: per ordered pair (j, jp), flattened 2x2 posterior mass
-    # against word presence for words owned by jp, plus the total mass
-    acc_present = np.zeros((f, f, 4, k))
-    acc_total = np.zeros((f, f, 4))
+    # acc[j, (h_j, h_owner), absent/present, v]: posterior mass of unit j
+    # and the owner of word v against v's presence
+    acc = np.zeros((f, 4, 2, k))
     for start in range(0, n, _CMI_CHUNK):
         chunk = slice(start, min(start + _CMI_CHUNK, n))
-        counts = dense[chunk]
-        occ_chunk = occ[chunk]
-        singleton, pairwise, cond = _posterior_pass(tree_model, counts)
-        for jp in range(f):
+        present = occ[chunk]
+        absent = 1.0 - present
+        for jp, joint in _pair_joints(tree_model, dense[chunk], range(f)):
             members = structure.visible_indices(jp)
-            for j in range(f):
-                if j == jp:
-                    continue
-                joint = _pair_joint(tree_model, singleton, pairwise, cond, j, jp)
-                flat = joint.reshape(-1, 4)
-                acc_present[j, jp][:, members] += flat.T @ occ_chunk[:, members]
-                acc_total[j, jp] += flat.sum(axis=0)
+            flat = joint.reshape(4 * f, -1)
+            acc[:, :, 0, members] += (flat @ absent[:, members]).reshape(f, 4, -1)
+            acc[:, :, 1, members] += (flat @ present[:, members]).reshape(f, 4, -1)
 
+    score = _cmi(acc.reshape(f, 2, 2, 2, k).transpose(0, 4, 1, 2, 3))
     scores = []
     for j in range(f):
-        rows = []
-        for jp in range(f):
-            if j == jp:
-                continue
-            for v in structure.visible_indices(jp):
-                present = acc_present[j, jp][:, v] / n
-                absent = acc_total[j, jp] / n - present
-                joint = np.stack([absent, present], axis=1).reshape(2, 2, 2)
-                rows.append((int(v), cmi_from_joint(joint)))
-        rows.sort(key=lambda item: (-item[1], item[0]))
-        scores.append(rows)
+        words = np.flatnonzero(owner != j)
+        order = np.lexsort((words, -score[j, words]))
+        scores.append([(int(v), float(score[j, v])) for v in words[order]])
     return CmiTable(scores=scores)
 
 
@@ -492,26 +458,9 @@ def estimate_cmi(tree_model: SbmModel, corpus: Corpus, j: int, v: int) -> float:
     joint = np.zeros((2, 2, 2))
     for start in range(0, n, _CMI_CHUNK):
         chunk = slice(start, min(start + _CMI_CHUNK, n))
-        counts = dense[chunk]
-        theta, edge_logw = _batch_theta(tree_model, counts, counts.sum(axis=1))
-        singleton, pairwise, _ = tree_sum_product(structure, theta, edge_logw)
-        cond = [None] * structure.n_hidden
-        if (min(j, jp), max(j, jp)) not in structure.edge_index and (
-            structure.component[j] == structure.component[jp]
-        ):
-            per_value = []
-            for value in (0, 1):
-                s, _, _ = tree_sum_product(
-                    structure, theta, edge_logw, want_pairwise=False,
-                    clamp={jp: value},
-                )
-                per_value.append(s)
-            cond[jp] = per_value
-        pair = _pair_joint(tree_model, singleton, pairwise, cond, j, jp)
-        ind = occ[chunk]
-        joint[:, :, 1] += (pair * ind[:, None, None]).sum(axis=0)
-        joint[:, :, 0] += (pair * (1.0 - ind)[:, None, None]).sum(axis=0)
-    joint /= n
+        _, pair = next(_pair_joints(tree_model, dense[chunk], [jp]))
+        joint[:, :, 0] += pair[j] @ (1.0 - occ[chunk])
+        joint[:, :, 1] += pair[j] @ occ[chunk]
     return cmi_from_joint(joint)
 
 

@@ -70,13 +70,6 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "bad.rs" in err and "out of range" in err
 
-    def test_threads_env_fallback(self, monkeypatch):
-        from sparsebm.cli import build_parser
-
-        monkeypatch.setenv("SPARSEBM_THREADS", "4")
-        args = build_parser().parse_args(["eval", "--model", "x", "--docs", "y"])
-        assert args.threads == 4
-
 
 class TestPrepare:
     def test_prepare_splits_and_manifests(self, small_corpus_files, tmp_path):
@@ -176,6 +169,24 @@ class TestWorkflow:
         text = (workdir / "interp.tsv").read_text()
         assert text.startswith("unit\tscore\ttop_words")
         assert "# model_score" in text
+
+
+    def test_prune_above_a_pruned_models_budget_is_data_error(self, workdir, tmp_path,
+                                                            capsys):
+        train = workdir / "train"
+        common = ["--retrain-epochs", 1, "--epochs", 1, "--cd-steps", 1, "--seed", 2]
+        assert run([
+            "train-rs", "--corpus", train, "--hidden", 3, "--epochs", 2,
+            "--cd-steps", 1, "--seed", 2, "-o", tmp_path / "dense.rs",
+        ]) == 0
+        assert run(["prune", "--corpus", train, "--model", tmp_path / "dense.rs",
+                    "--target", 3, *common, "-o", tmp_path / "p3.rs"]) == 0
+        capsys.readouterr()
+        assert run(["prune", "--corpus", train, "--model", tmp_path / "p3.rs",
+                    "--target", 5, *common, "-o", tmp_path / "p5.rs"]) == 2
+        err = capsys.readouterr().err
+        assert "target_per_unit=5" in err and "count 3" in err
+        assert not (tmp_path / "p5.rs").exists()
 
 
 class TestPipeline:
@@ -285,7 +296,7 @@ class TestPipeline:
         assert run(["pipeline", "--config", config_path]) == 0
         report = (out_dir / "report.tsv").read_text().splitlines()[1]
         ais_ppl = float(report.split("\t")[3])
-        model, _ = _load_any_model(out_dir / "sbm_sfc.sbm")
+        model = _load_any_model(out_dir / "sbm_sfc.sbm")
         test_corpus, _ = load_uci_bow(out_dir / "test.docword.txt",
                                       out_dir / "test.vocab.txt")
         exact_ppl = perplexity(model, test_corpus.docs, log_z_fn=exact_log_z)

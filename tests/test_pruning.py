@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsebm.corpus import Corpus, Document
 from sparsebm.errors import FileFormatError
 from sparsebm.pruning import (
     PruneConfig,
@@ -115,6 +116,42 @@ class TestPruneAndRetrain:
         lines = (tmp_path / "log.tsv").read_text().strip().splitlines()
         assert lines[0] == "iter\tper_unit_count\tepochs"
         assert len(lines) == 1 + len(result.iterations)
+
+
+class TestRepruning:
+    """Pruning a pruned model starts from its own mask."""
+
+    def make_inputs(self, target):
+        rng = np.random.default_rng(4)
+        docs = []
+        for _ in range(30):
+            words = np.sort(rng.choice(12, size=3, replace=False))
+            docs.append(Document(words, rng.integers(1, 3, size=3)))
+        corpus = Corpus([f"w{k}" for k in range(12)], docs)
+        config = PruneConfig(
+            target_per_unit=target,
+            retrain_epochs_per_iter=1,
+            train=TrainConfig(epochs=1, cd_steps=1, learning_rate=0.05,
+                              batch_size=10, seed=3),
+        )
+        return model_from_weights(rng.normal(size=(2, 12))), corpus, config
+
+    def test_repruned_mask_stays_inside_the_old_one(self):
+        model, corpus, config = self.make_inputs(target=3)
+        first = prune_and_retrain(model, corpus, config)
+        config.target_per_unit = 2
+        again = prune_and_retrain(first.model, corpus, config)
+        assert [count for _, count, _ in again.iterations] == [2]
+        assert np.array_equal(again.mask.sum(axis=1), [2, 2])
+        assert np.all(again.mask <= first.mask)
+        assert np.all(again.model.W[~first.mask] == 0.0)
+
+    def test_target_above_the_pruned_count_refused(self):
+        model, corpus, config = self.make_inputs(target=3)
+        first = prune_and_retrain(model, corpus, config)
+        config.target_per_unit = 5
+        with pytest.raises(ValueError, match=r"target_per_unit=5 exceeds .* count 3"):
+            prune_and_retrain(first.model, corpus, config)
 
 
 class TestPrunedSerialization:

@@ -20,6 +20,8 @@ from sparsebm.structure import (
 )
 from sparsebm.util import rng_from
 
+from conftest import brute_posterior, hidden_states
+
 
 def corpus_from_occurrence(rows, n_words):
     docs = []
@@ -267,6 +269,67 @@ class TestEstimateCmi:
         a = estimate_cmi(model, corpus, 0, 1)
         b = estimate_cmi(model, shuffled, 0, 1)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def forest_model_and_corpus(scale, n_docs=40, seed=19):
+    """Skeleton-shaped forest: path 0-1-2-3 with unit 1 branching to 4, a
+    second tree 5-6 and the isolated unit 7; each unit owns one or two of
+    the ten words. Weights are drawn at the given scale."""
+    groups = [[0], [1], [2, 3], [4], [5], [6], [7, 8], [9]]
+    skeleton = Skeleton(groups=groups, tree_edges=[(0, 1), (1, 2), (2, 3), (1, 4), (5, 6)])
+    structure = skeleton.to_structure()
+    rng = np.random.default_rng(seed)
+    w = np.where(structure.mask(), rng.normal(0, scale, structure.mask().shape), 0.0)
+    model = SbmModel(structure, w, rng.normal(0, scale, structure.n_tree_edges),
+                     rng.normal(0, scale / 2, 8), rng.normal(0, 0.5, 10))
+    docs = []
+    for _ in range(n_docs):
+        words = np.sort(rng.choice(10, size=int(rng.integers(1, 5)), replace=False))
+        docs.append(Document(words, rng.integers(1, 4, size=words.size)))
+    return model, Corpus([f"w{i}" for i in range(10)], docs)
+
+
+def enumerated_cmi(model, corpus, j, v, owner):
+    """CMI of (h_j, word v | h_owner) from 2^F-enumerated posteriors."""
+    states = hidden_states(model.n_hidden)
+    jp = owner[v]
+    p = np.zeros((2, 2, 2))
+    for doc in corpus.docs:
+        post, _ = brute_posterior(model, doc)
+        present = int(v in doc.words)
+        for z in (0, 1):
+            for zp in (0, 1):
+                on = (states[:, j] == z) & (states[:, jp] == zp)
+                p[z, zp, present] += post[on].sum()
+    p /= p.sum()
+    p_zp = p.sum(axis=(0, 2))
+    p_z_zp = p.sum(axis=2)
+    p_zp_v = p.sum(axis=0)
+    out = 0.0
+    for z, zp, x in np.ndindex(2, 2, 2):
+        if p[z, zp, x] > 0:
+            out += p[z, zp, x] * math.log(
+                p[z, zp, x] * p_zp[zp] / (p_z_zp[z, zp] * p_zp_v[zp, x])
+            )
+    return out
+
+
+class TestCmiPairJointOracle:
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_scores_match_enumeration(self, scale):
+        # pairs on the path at distance 1-3, through the branch, across the
+        # two trees and to the isolated unit, with saturated posteriors at
+        # the larger scale
+        model, corpus = forest_model_and_corpus(scale)
+        owner = [0, 1, 2, 2, 3, 4, 5, 6, 6, 7]
+        table = build_cmi_table(model, corpus)
+        for j, rows in enumerate(table.scores):
+            assert sorted(v for v, _ in rows) == [v for v in range(10) if owner[v] != j]
+            for v, score in rows:
+                expected = enumerated_cmi(model, corpus, j, v, owner)
+                single = estimate_cmi(model, corpus, j, v)
+                assert single == pytest.approx(expected, abs=1e-12)
+                assert score == pytest.approx(expected, abs=1e-12)
 
 
 def train_tree_model(corpus, skeleton, seed=0, epochs=60):
