@@ -49,12 +49,15 @@ def _corpus_paths(prefix):
     return Path(f"{prefix}.docword.txt"), Path(f"{prefix}.vocab.txt")
 
 
-def _load_corpus(prefix):
-    docword, vocab = _corpus_paths(prefix)
+def _load_uci(docword, vocab):
     corpus, dropped = corpus_mod.load_uci_bow(docword, vocab)
     if dropped:
         print(f"note: dropped {dropped} empty documents from {docword}", file=sys.stderr)
     return corpus
+
+
+def _load_corpus(prefix):
+    return _load_uci(*_corpus_paths(prefix))
 
 
 def _model_kind(path):
@@ -90,15 +93,26 @@ def _load_any_structure(path, n_visible=None):
 
 
 def _parse_schedule(spec):
+    """An AIS schedule from 'default', comma-joined start:end:count segments
+    or a list of [start, end, count] triples (the pipeline config's form)."""
     if spec == "default":
         return evaluation.default_schedule()
-    segments = []
-    for part in spec.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise _UsageError(f"bad schedule segment {part!r}, want start:end:count")
-        segments.append((float(fields[0]), float(fields[1]), int(fields[2])))
-    return evaluation.AisSchedule(segments)
+    segments = [p.split(":") for p in spec.split(",")] if isinstance(spec, str) else spec
+    try:
+        return evaluation.AisSchedule(segments)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad AIS schedule {spec!r}, want start:end:count segments: {exc}"
+        ) from None
+
+
+def _positive_int(value):
+    """A count of at least 1, from command-line text or a config value."""
+    if isinstance(value, str) and value.strip().isdigit():
+        value = int(value)
+    if type(value) is not int or value < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {value!r}")
+    return value
 
 
 def _file_sha256(path):
@@ -120,6 +134,8 @@ def _code_digest():
 
 
 def _config_hash(config, input_paths):
+    """Settings objects (TrainConfig, PruneConfig, AisSchedule) hash as
+    their fields."""
     payload = {
         "config": config,
         "inputs": {str(p): _file_sha256(p) for p in input_paths},
@@ -127,7 +143,7 @@ def _config_hash(config, input_paths):
         "code": _code_digest(),
     }
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
+        json.dumps(payload, sort_keys=True, default=vars).encode("utf-8")
     ).hexdigest()
 
 
@@ -176,65 +192,137 @@ def _add_train_flags(parser):
 
 
 # ---------------------------------------------------------------------------
+# workflow steps, each called by its subcommand and its pipeline stage; a
+# stage hashes exactly the keyword-only settings it passes (see _run_stage)
+
+
+def _prepare(docword, vocab, out, *, select_k, select_method, seed, n_train,
+             n_val, n_test):
+    """Load a corpus, keep its select_k best words and write it under out as
+    full.*, or split with split_manifest.txt. Returns it and the files written."""
+    corpus = _load_uci(docword, vocab)
+    if select_k is not None:
+        corpus = corpus_mod.select_vocab(corpus, select_k, select_method)
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+
+    def emit(name, part):
+        paths = _corpus_paths(out / name)
+        corpus_mod.save_uci_bow(part, *paths)
+        outputs.extend(paths)
+
+    if n_train is None:
+        emit("full", corpus)
+        return corpus, outputs
+    split = corpus_mod.split_corpus(corpus, seed, n_train, n_val, n_test)
+    emit("train", split.train)
+    if n_val:
+        emit("validation", split.validation)
+    if n_test:
+        emit("test", split.test)
+    corpus_mod.save_split_manifest(split, out / "split_manifest.txt")
+    outputs.append(out / "split_manifest.txt")
+    return corpus, outputs
+
+
+def _skeleton(corpus, output, *, island_max, supergroup_max, mi_floor):
+    skeleton = structure_mod.build_skeleton(
+        corpus, island_max=island_max, supergroup_max=supergroup_max,
+        mi_floor="auto" if mi_floor == "auto" else float(mi_floor),
+    )
+    structure_mod.save_skeleton(skeleton, output)
+    return skeleton
+
+
+def _train_sbm(corpus, structure, output, *, train):
+    sbm_mod.save_sbm_model(sbm_mod.sbm_train(corpus, structure, train), output)
+
+
+def _train_rs(corpus, output, *, hidden, train):
+    rs_mod.save_rs_model(rs_mod.rs_train(corpus, hidden, train), output)
+
+
+def _expand(corpus, skeleton, tree_model_path, output, cmi_out, *, add, fraction):
+    """Returns the expanded structure and the files written."""
+    tree_model = sbm_mod.load_sbm_model(tree_model_path)
+    table = structure_mod.build_cmi_table(tree_model, corpus)
+    m = float(fraction) if add is None else int(add)
+    expanded = structure_mod.sbm_sfc(skeleton, tree_model, corpus, m, cmi_table=table)
+    sbm_mod.save_structure(expanded, output)
+    outputs = [output]
+    if cmi_out:
+        structure_mod.save_cmi_table(table, cmi_out)
+        outputs.append(cmi_out)
+    return expanded, outputs
+
+
+def _prune(model, corpus, output, log_out, *, prune):
+    """Returns the prune result and the files written."""
+    result = pruning.prune_and_retrain(model, corpus, prune)
+    pruning.save_pruned_rs(result.model, result.mask, output)
+    outputs = [output]
+    if log_out:
+        pruning.save_iteration_log(result, log_out)
+        outputs.append(log_out)
+    return result, outputs
+
+
+def _held_out_docs(corpus, max_docs, seed):
+    """All documents, or max_docs drawn without replacement, in corpus order."""
+    docs = list(corpus.docs)
+    if max_docs is not None and max_docs < len(docs):
+        picker = rng_from(seed, _EVAL_STREAM, 7)
+        idx = picker.choice(len(docs), size=max_docs, replace=False)
+        docs = [docs[i] for i in sorted(idx)]
+    return docs
+
+
+def _write_report(test_prefix, output, *, models, schedule, ais_runs, seed,
+                  max_docs, include_multinomial):
+    """One report row per variant, all scored on the same held-out documents."""
+    docs = _held_out_docs(_load_corpus(test_prefix), max_docs, seed)
+    rows = []
+    for idx, (variant, path) in enumerate(sorted(models.items())):
+        model = _load_any_model(path)
+        lp, _ = evaluation.held_out_log_probs(
+            model, docs, schedule, ais_runs, rng_from(seed, _EVAL_STREAM, idx),
+            include_multinomial,
+        )
+        mean_degree = float(model.structure.degrees().mean())
+        rows.append((variant, model.n_hidden, mean_degree,
+                     evaluation.per_word_perplexity(lp, docs)))
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.write("variant\tF\tmean_visible_degree\ttest_perplexity\n")
+        for variant, f, deg, ppl in rows:
+            fh.write(f"{variant}\t{f}\t{deg!r}\t{ppl!r}\n")
+            print(f"  {variant}: F={f} degree={deg:.1f} perplexity={ppl:.3f}")
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_prepare(args):
     t0 = time.time()
-    corpus, dropped = corpus_mod.load_uci_bow(args.docword, args.vocab)
-    if dropped:
-        print(f"dropped {dropped} empty documents", file=sys.stderr)
-    if args.select_k is not None:
-        corpus = corpus_mod.select_vocab(corpus, args.select_k, args.select_method)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
-    def emit(name, part):
-        docword, vocab = _corpus_paths(out / name)
-        corpus_mod.save_uci_bow(part, docword, vocab)
-        outputs.extend([docword, vocab])
-
-    if args.train is not None:
-        split = corpus_mod.split_corpus(
-            corpus, args.seed, args.train, args.val, args.test
-        )
-        emit("train", split.train)
-        if args.val:
-            emit("validation", split.validation)
-        if args.test:
-            emit("test", split.test)
-        manifest_path = out / "split_manifest.txt"
-        corpus_mod.save_split_manifest(split, manifest_path)
-        outputs.append(manifest_path)
-    else:
-        emit("full", corpus)
     config = {
-        "select_k": args.select_k,
-        "select_method": args.select_method,
-        "train": args.train, "val": args.val, "test": args.test,
-        "seed": args.seed,
+        "select_k": args.select_k, "select_method": args.select_method,
+        "seed": args.seed, "n_train": args.train, "n_val": args.val,
+        "n_test": args.test,
     }
-    write_manifest(out / "prepare", "prepare", config, args.seed,
+    corpus, outputs = _prepare(args.docword, args.vocab, args.output, **config)
+    write_manifest(Path(args.output) / "prepare", "prepare", config, args.seed,
                    [args.docword, args.vocab], outputs, time.time() - t0)
-    print(f"prepared {corpus.n_docs} documents over {corpus.n_words} words in {out}")
+    print(f"prepared {corpus.n_docs} documents over {corpus.n_words} words"
+          f" in {args.output}")
     return 0
 
 
 def cmd_skeleton(args):
     t0 = time.time()
-    corpus = _load_corpus(args.corpus)
-    floor = "auto" if args.mi_floor == "auto" else float(args.mi_floor)
-    skeleton = structure_mod.build_skeleton(
-        corpus, island_max=args.island_max, supergroup_max=args.supergroup_max,
-        mi_floor=floor,
-    )
-    structure_mod.save_skeleton(skeleton, args.output)
-    config = {
-        "island_max": args.island_max,
-        "supergroup_max": args.supergroup_max,
-        "mi_floor": args.mi_floor,
-    }
+    config = {"island_max": args.island_max, "supergroup_max": args.supergroup_max,
+              "mi_floor": args.mi_floor}
+    skeleton = _skeleton(_load_corpus(args.corpus), args.output, **config)
     write_manifest(args.output, "skeleton", config, 0,
                    list(_corpus_paths(args.corpus)), [args.output],
                    time.time() - t0)
@@ -245,12 +333,9 @@ def cmd_skeleton(args):
 
 def cmd_train_rs(args):
     t0 = time.time()
-    corpus = _load_corpus(args.corpus)
-    config = _train_config_from_args(args)
-    model = rs_mod.rs_train(corpus, args.hidden, config)
-    rs_mod.save_rs_model(model, args.output)
-    write_manifest(args.output, "train-rs",
-                   {"hidden": args.hidden, **config.__dict__}, args.seed,
+    config = {"hidden": args.hidden, "train": _train_config_from_args(args)}
+    _train_rs(_load_corpus(args.corpus), args.output, **config)
+    write_manifest(args.output, "train-rs", config, args.seed,
                    list(_corpus_paths(args.corpus)), [args.output],
                    time.time() - t0)
     print(f"trained RS model F={args.hidden} -> {args.output}")
@@ -261,10 +346,9 @@ def cmd_train_sbm(args):
     t0 = time.time()
     corpus = _load_corpus(args.corpus)
     struct = _load_any_structure(args.structure, corpus.n_words)
-    config = _train_config_from_args(args)
-    model = sbm_mod.sbm_train(corpus, struct, config)
-    sbm_mod.save_sbm_model(model, args.output)
-    write_manifest(args.output, "train-sbm", config.__dict__, args.seed,
+    config = {"train": _train_config_from_args(args)}
+    _train_sbm(corpus, struct, args.output, **config)
+    write_manifest(args.output, "train-sbm", config, args.seed,
                    [*_corpus_paths(args.corpus), args.structure], [args.output],
                    time.time() - t0)
     print(f"trained SBM F={struct.n_hidden} -> {args.output}")
@@ -275,20 +359,10 @@ def cmd_expand(args):
     t0 = time.time()
     corpus = _load_corpus(args.corpus)
     skeleton = structure_mod.load_skeleton(args.skeleton, corpus.n_words)
-    tree_model = sbm_mod.load_sbm_model(args.tree_model)
-    if args.add is not None:
-        m = args.add
-    else:
-        m = args.fraction
-    table = structure_mod.build_cmi_table(tree_model, corpus)
-    expanded = structure_mod.sbm_sfc(skeleton, tree_model, corpus, m, cmi_table=table)
-    sbm_mod.save_structure(expanded, args.output)
-    outputs = [args.output]
-    if args.cmi_out:
-        structure_mod.save_cmi_table(table, args.cmi_out)
-        outputs.append(args.cmi_out)
+    config = {"add": args.add, "fraction": args.fraction}
+    expanded, outputs = _expand(corpus, skeleton, args.tree_model, args.output,
+                                args.cmi_out, **config)
     degrees = expanded.degrees()
-    config = {"fraction": args.fraction, "add": args.add}
     write_manifest(args.output, "expand", config, 0,
                    [*_corpus_paths(args.corpus), args.skeleton, args.tree_model],
                    outputs, time.time() - t0)
@@ -307,21 +381,13 @@ def cmd_prune(args):
         target = args.target
     else:
         target = int(np.ceil(args.target_fraction * model.n_visible))
-    config = pruning.PruneConfig(
-        target_per_unit=target,
-        prune_fraction=args.prune_fraction,
+    config = {"prune": pruning.PruneConfig(
+        target_per_unit=target, prune_fraction=args.prune_fraction,
         retrain_epochs_per_iter=args.retrain_epochs,
         train=_train_config_from_args(args),
-    )
-    result = pruning.prune_and_retrain(model, corpus, config)
-    pruning.save_pruned_rs(result.model, result.mask, args.output)
-    outputs = [args.output]
-    if args.log_out:
-        pruning.save_iteration_log(result, args.log_out)
-        outputs.append(args.log_out)
-    write_manifest(args.output, "prune",
-                   {"target": target, "prune_fraction": args.prune_fraction,
-                    "retrain_epochs": args.retrain_epochs}, args.seed,
+    )}
+    result, outputs = _prune(model, corpus, args.output, args.log_out, **config)
+    write_manifest(args.output, "prune", config, args.seed,
                    [*_corpus_paths(args.corpus), args.model], outputs,
                    time.time() - t0)
     print(f"pruned to {target} connections per unit over {result.total_epochs}"
@@ -332,14 +398,9 @@ def cmd_prune(args):
 def cmd_eval(args):
     t0 = time.time()
     model = _load_any_model(args.model)
-    corpus = _load_corpus(args.docs)
-    docs = list(corpus.docs)
-    if args.max_docs is not None and args.max_docs < len(docs):
-        picker = rng_from(args.seed, _EVAL_STREAM, 7)
-        idx = picker.choice(len(docs), size=args.max_docs, replace=False)
-        docs = [docs[i] for i in sorted(idx)]
+    docs = _held_out_docs(_load_corpus(args.docs), args.max_docs, args.seed)
     lp, _ = evaluation.held_out_log_probs(
-        model, docs, _parse_schedule(args.schedule), args.ais_runs,
+        model, docs, args.schedule, args.ais_runs,
         rng_from(args.seed, _EVAL_STREAM), args.include_multinomial,
         evaluation.exact_log_z if args.exact else None,
     )
@@ -370,7 +431,8 @@ def cmd_interpret(args):
     vocab_path = Path(args.vocab)
     if not vocab_path.exists():
         vocab_path = _corpus_paths(args.vocab)[1]
-    vocab = [line.strip() for line in open(vocab_path, encoding="utf-8") if line.strip()]
+    with open(vocab_path, encoding="utf-8") as fh:
+        vocab = [line.strip() for line in fh if line.strip()]
     if len(vocab) != model.n_visible:
         raise SparsebmError(
             f"vocabulary size {len(vocab)} does not match model K={model.n_visible}"
@@ -399,29 +461,24 @@ def cmd_interpret(args):
 # pipeline
 
 
-def _stage_fresh(out_path, manifest_path, expected_hash, force):
-    if force:
-        return False
-    if not Path(out_path).exists() or not Path(manifest_path).exists():
-        return False
+def _stage_fresh(out_path, expected_hash):
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(f"{out_path}.manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return False
-    return manifest.get("config_hash") == expected_hash
+    return Path(out_path).exists() and manifest.get("config_hash") == expected_hash
 
 
-def _run_stage(name, out_path, config, seed, inputs, force, builder):
-    """Run builder() unless the cached output matches the config hash."""
-    expected = _config_hash(config, inputs)
-    manifest_path = Path(str(out_path) + ".manifest.json")
-    if _stage_fresh(out_path, manifest_path, expected, force):
+def _run_stage(name, out_path, config, seed, inputs, force, step):
+    """Run step(**config) unless the cached output matches the hash of config
+    and the input files. Returns whether the step ran."""
+    if not force and _stage_fresh(out_path, _config_hash(config, inputs)):
         print(f"[{name}] cached")
         return False
     t0 = time.time()
     try:
-        builder()
+        step(**config)
     except (SparsebmError, ValueError, OSError) as exc:
         raise SparsebmError(f"pipeline stage {name!r} failed: {exc}") from exc
     write_manifest(out_path, name, config, seed, inputs, [out_path],
@@ -436,8 +493,6 @@ def cmd_pipeline(args):
     for key in ("corpus", "out_dir", "seed"):
         if key not in cfg:
             raise SparsebmError(f"pipeline config is missing {key!r}")
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     seed = int(cfg["seed"])
     force = args.force
     variants = cfg.get(
@@ -449,197 +504,120 @@ def cmd_pipeline(args):
     vocab = Path(corpus_cfg["vocab"])
     if not docword.exists():
         raise SparsebmError(f"corpus file {docword} does not exist")
-
     split_cfg = cfg.get("split", {})
-    if "n_train" not in split_cfg:
-        raise SparsebmError("pipeline config is missing split.n_train")
+    for key in ("n_train", "n_test"):
+        if type(split_cfg.get(key)) is not int or split_cfg[key] < 1:
+            raise SparsebmError(f"pipeline config needs split.{key}, an integer >= 1")
+
+    def settings(cls, section, values):
+        try:
+            return cls(**values)
+        except (TypeError, ValueError) as exc:
+            raise SparsebmError(f"bad {section!r} config: {exc}") from exc
+
+    def train_config(section):
+        return settings(TrainConfig, section, {
+            "seed": seed, **cfg.get("train_defaults", {}), **cfg.get(section, {}),
+        })
+
+    tree_cfg = train_config("tree_train")
+    main_cfg = train_config("train")
+
+    eval_cfg = cfg.get("eval", {})
+    eval_params = {"seed": eval_cfg.get("seed", seed),
+                   "include_multinomial": eval_cfg.get("include_multinomial", False)}
+    for key, parse, default in (("schedule", _parse_schedule, "default"),
+                                ("ais_runs", _positive_int, 100),
+                                ("max_docs", _positive_int, None)):
+        value = eval_cfg.get(key, default)
+        try:
+            eval_params[key] = None if value is None else parse(value)
+        except argparse.ArgumentTypeError as exc:
+            raise SparsebmError(f"pipeline config eval.{key}: {exc}") from None
+
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     train_prefix = out / "train"
     test_prefix = out / "test"
+    train_files = list(_corpus_paths(train_prefix))
 
-    def build_corpus():
-        corpus, dropped = corpus_mod.load_uci_bow(docword, vocab)
-        if corpus_cfg.get("select_k"):
-            corpus = corpus_mod.select_vocab(
-                corpus, corpus_cfg["select_k"],
-                corpus_cfg.get("select_method", "frequency"),
-            )
-        split = corpus_mod.split_corpus(
-            corpus, split_cfg.get("seed", seed), split_cfg["n_train"],
-            split_cfg.get("n_val", 0), split_cfg.get("n_test", 0),
-        )
-        corpus_mod.save_uci_bow(split.train, *_corpus_paths(train_prefix))
-        corpus_mod.save_uci_bow(split.test, *_corpus_paths(test_prefix))
-        corpus_mod.save_split_manifest(split, out / "split_manifest.txt")
-
-    _run_stage("corpus", _corpus_paths(train_prefix)[0],
-               {"corpus": corpus_cfg, "split": split_cfg}, seed,
-               [docword, vocab], force, build_corpus)
-
+    _run_stage(
+        "corpus", train_files[0],
+        {"select_k": corpus_cfg.get("select_k"),
+         "select_method": corpus_cfg.get("select_method", "frequency"),
+         "seed": split_cfg.get("seed", seed), "n_train": split_cfg["n_train"],
+         "n_val": split_cfg.get("n_val", 0), "n_test": split_cfg["n_test"]},
+        seed, [docword, vocab], force,
+        functools.partial(_prepare, docword, vocab, out),
+    )
     train_corpus = _load_corpus(train_prefix)
-    test_corpus = _load_corpus(test_prefix)
 
     skel_cfg = cfg.get("skeleton", {})
     skeleton_path = out / "skeleton.txt"
-
-    def build_skeleton():
-        skeleton = structure_mod.build_skeleton(
-            train_corpus,
-            island_max=skel_cfg.get("island_max", 7),
-            supergroup_max=skel_cfg.get("supergroup_max", 5),
-            mi_floor=skel_cfg.get("mi_floor", "auto"),
-        )
-        structure_mod.save_skeleton(skeleton, skeleton_path)
-
-    _run_stage("skeleton", skeleton_path, skel_cfg, seed,
-               list(_corpus_paths(train_prefix)), force, build_skeleton)
+    _run_stage(
+        "skeleton", skeleton_path,
+        {"island_max": skel_cfg.get("island_max", 7),
+         "supergroup_max": skel_cfg.get("supergroup_max", 5),
+         "mi_floor": skel_cfg.get("mi_floor", "auto")},
+        seed, train_files, force,
+        functools.partial(_skeleton, train_corpus, skeleton_path),
+    )
     skeleton = structure_mod.load_skeleton(skeleton_path, train_corpus.n_words)
 
-    def train_config(section, default_seed):
-        base = dict(cfg.get("train_defaults", {}))
-        base.update(cfg.get(section, {}))
-        base.setdefault("seed", default_seed)
-        try:
-            return TrainConfig(**base)
-        except TypeError as exc:
-            raise SparsebmError(f"bad training config in {section!r}: {exc}") from exc
-
     tree_model_path = out / "tree_model.sbm"
-    tree_cfg = train_config("tree_train", seed)
+    _run_stage(
+        "tree-model", tree_model_path, {"train": tree_cfg}, seed,
+        [*train_files, skeleton_path], force,
+        functools.partial(_train_sbm, train_corpus, skeleton.to_structure(),
+                          tree_model_path),
+    )
 
-    def build_tree_model():
-        model = sbm_mod.sbm_train(train_corpus, skeleton.to_structure(), tree_cfg)
-        sbm_mod.save_sbm_model(model, tree_model_path)
-
-    _run_stage("tree-model", tree_model_path, tree_cfg.__dict__, seed,
-               [*_corpus_paths(train_prefix), skeleton_path], force,
-               build_tree_model)
-
-    expand_cfg = cfg.get("expand", {"fraction": 0.2})
+    expand_cfg = cfg.get("expand", {})
     expanded_path = out / "expanded.struct"
-
-    def build_expanded():
-        tree_model = sbm_mod.load_sbm_model(tree_model_path)
-        if "add" in expand_cfg:
-            m = int(expand_cfg["add"])
-        else:
-            m = float(expand_cfg.get("fraction", 0.2))
-        table = structure_mod.build_cmi_table(tree_model, train_corpus)
-        expanded = structure_mod.sbm_sfc(
-            skeleton, tree_model, train_corpus, m, cmi_table=table
-        )
-        sbm_mod.save_structure(expanded, expanded_path)
-        structure_mod.save_cmi_table(table, out / "cmi.tsv")
-
-    _run_stage("expand", expanded_path, expand_cfg, seed,
-               [*_corpus_paths(train_prefix), skeleton_path, tree_model_path],
-               force, build_expanded)
+    _run_stage(
+        "expand", expanded_path,
+        {"add": expand_cfg.get("add"), "fraction": expand_cfg.get("fraction", 0.2)},
+        seed, [*train_files, skeleton_path, tree_model_path], force,
+        functools.partial(_expand, train_corpus, skeleton, tree_model_path,
+                          expanded_path, out / "cmi.tsv"),
+    )
     expanded = sbm_mod.load_structure(expanded_path)
-    n_hidden = expanded.n_hidden
+    on_expanded = [*train_files, expanded_path]
 
     model_paths = {}
-    main_cfg = train_config("train", seed)
     if "sbm_sfc" in variants:
-        path = out / "sbm_sfc.sbm"
-        _run_stage(
-            "sbm-sfc", path, main_cfg.__dict__, seed,
-            [*_corpus_paths(train_prefix), expanded_path], force,
-            lambda: sbm_mod.save_sbm_model(
-                sbm_mod.sbm_train(train_corpus, expanded, main_cfg), path
-            ),
-        )
-        model_paths["sbm_sfc"] = path
+        path = model_paths["sbm_sfc"] = out / "sbm_sfc.sbm"
+        _run_stage("sbm-sfc", path, {"train": main_cfg}, seed, on_expanded, force,
+                   functools.partial(_train_sbm, train_corpus, expanded, path))
+    rs_path = out / "rs_plus.rs"
     if "rs_plus" in variants or "rs_plus_pruned" in variants:
-        path = out / "rs_plus.rs"
-        _run_stage(
-            "rs-plus", path, {**main_cfg.__dict__, "hidden": n_hidden}, seed,
-            [*_corpus_paths(train_prefix), expanded_path], force,
-            lambda: rs_mod.save_rs_model(
-                rs_mod.rs_train(train_corpus, n_hidden, main_cfg), path
-            ),
-        )
+        _run_stage("rs-plus", rs_path, {"hidden": expanded.n_hidden, "train": main_cfg},
+                   seed, on_expanded, force,
+                   functools.partial(_train_rs, train_corpus, rs_path))
         if "rs_plus" in variants:
-            model_paths["rs_plus"] = path
+            model_paths["rs_plus"] = rs_path
     if "rs_plus_sfc" in variants:
-        path = out / "rs_plus_sfc.sbm"
+        path = model_paths["rs_plus_sfc"] = out / "rs_plus_sfc.sbm"
         no_tree = sbm_mod.SbmStructure.from_mask(expanded.mask(), [])
-        _run_stage(
-            "rs-plus-sfc", path, main_cfg.__dict__, seed,
-            [*_corpus_paths(train_prefix), expanded_path], force,
-            lambda: sbm_mod.save_sbm_model(
-                sbm_mod.sbm_train(train_corpus, no_tree, main_cfg), path
-            ),
-        )
-        model_paths["rs_plus_sfc"] = path
+        _run_stage("rs-plus-sfc", path, {"train": main_cfg}, seed, on_expanded, force,
+                   functools.partial(_train_sbm, train_corpus, no_tree, path))
     if "rs_plus_pruned" in variants:
-        path = out / "rs_plus_pruned.rs"
-        prune_cfg_in = cfg.get("prune", {})
-        target = prune_cfg_in.get("target_per_unit", int(expanded.degrees().max()))
-
-        def build_pruned():
-            model = _load_any_model(out / "rs_plus.rs")
-            config = pruning.PruneConfig(
-                target_per_unit=target,
-                prune_fraction=prune_cfg_in.get("prune_fraction", 0.2),
-                retrain_epochs_per_iter=prune_cfg_in.get(
-                    "retrain_epochs_per_iter", 1
-                ),
-                train=main_cfg,
-            )
-            result = pruning.prune_and_retrain(model, train_corpus, config)
-            pruning.save_pruned_rs(result.model, result.mask, path)
-            pruning.save_iteration_log(result, out / "prune_log.tsv")
-
+        path = model_paths["rs_plus_pruned"] = out / "rs_plus_pruned.rs"
+        prune = settings(pruning.PruneConfig, "prune", {
+            "target_per_unit": int(expanded.degrees().max()), **cfg.get("prune", {}),
+            "train": main_cfg,
+        })
         _run_stage(
-            "rs-plus-pruned", path,
-            {**prune_cfg_in, "target": target}, seed,
-            [*_corpus_paths(train_prefix), out / "rs_plus.rs"], force,
-            build_pruned,
+            "rs-plus-pruned", path, {"prune": prune}, seed, [*train_files, rs_path],
+            force, lambda prune: _prune(_load_any_model(rs_path), train_corpus, path,
+                                        out / "prune_log.tsv", prune=prune),
         )
-        model_paths["rs_plus_pruned"] = path
-
-    eval_cfg = cfg.get("eval", {})
-    schedule_spec = eval_cfg.get("schedule", "default")
-    if isinstance(schedule_spec, list):
-        schedule = evaluation.AisSchedule(
-            [tuple(seg) for seg in schedule_spec]
-        )
-    else:
-        schedule = _parse_schedule(schedule_spec)
-    runs = eval_cfg.get("ais_runs", 100)
-    eval_seed = eval_cfg.get("seed", seed)
-    max_docs = eval_cfg.get("max_docs")
-    docs = list(test_corpus.docs)
-    if max_docs is not None and max_docs < len(docs):
-        picker = rng_from(eval_seed, _EVAL_STREAM, 7)
-        idx = picker.choice(len(docs), size=max_docs, replace=False)
-        docs = [docs[i] for i in sorted(idx)]
 
     report_path = out / "report.tsv"
-    eval_inputs = sorted(model_paths.values())
-    eval_hash_cfg = {"schedule": schedule_spec, "runs": runs,
-                     "seed": eval_seed, "max_docs": max_docs,
-                     "variants": sorted(model_paths)}
-
-    def build_report():
-        rows = []
-        for idx, (variant, path) in enumerate(sorted(model_paths.items())):
-            model = _load_any_model(path)
-            lp, _ = evaluation.held_out_log_probs(
-                model, docs, schedule, runs, rng_from(eval_seed, _EVAL_STREAM, idx),
-                eval_cfg.get("include_multinomial", False),
-            )
-            mean_degree = float(model.structure.degrees().mean())
-            rows.append((variant, model.n_hidden, mean_degree,
-                         evaluation.per_word_perplexity(lp, docs)))
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("variant\tF\tmean_visible_degree\ttest_perplexity\n")
-            for variant, f, deg, ppl in rows:
-                fh.write(f"{variant}\t{f}\t{deg!r}\t{ppl!r}\n")
-        for variant, f, deg, ppl in rows:
-            print(f"  {variant}: F={f} degree={deg:.1f} perplexity={ppl:.3f}")
-
-    _run_stage("eval", report_path, eval_hash_cfg, eval_seed, eval_inputs,
-               force, build_report)
+    eval_params["models"] = {v: str(p) for v, p in model_paths.items()}
+    _run_stage("eval", report_path, eval_params, eval_params["seed"],
+               [*sorted(model_paths.values()), *_corpus_paths(test_prefix)], force,
+               functools.partial(_write_report, test_prefix, report_path))
     print(f"pipeline complete: {report_path}")
     return 0
 
@@ -715,11 +693,11 @@ def build_parser():
     p = sub.add_parser("eval", help="held-out perplexity via AIS")
     p.add_argument("--model", required=True)
     p.add_argument("--docs", required=True, help="corpus prefix of held-out docs")
-    p.add_argument("--ais-runs", type=int, default=100)
-    p.add_argument("--schedule", default="default",
+    p.add_argument("--ais-runs", type=_positive_int, default=100)
+    p.add_argument("--schedule", type=_parse_schedule, default="default",
                    help="'default' or comma-joined start:end:count segments")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-docs", type=int, default=None)
+    p.add_argument("--max-docs", type=_positive_int, default=None)
     p.add_argument("--include-multinomial", action="store_true")
     p.add_argument("--exact", action="store_true",
                    help="use exact enumeration instead of AIS (tiny models)")
@@ -755,9 +733,6 @@ def cmd_dispatch(argv):
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SparsebmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,6 +54,18 @@ class TestDispatch:
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--schedule", "0:1:x"), ("--schedule", "0:1"), ("--schedule", "0:0.5:5"),
+        ("--max-docs", "-3"), ("--max-docs", "0"), ("--ais-runs", "0"),
+    ])
+    def test_bad_eval_setting_is_usage_error_naming_it(self, flag, value, tmp_path,
+                                                       capsys):
+        code = run(["eval", "--model", tmp_path / "m.sbm", "--docs", tmp_path / "d",
+                    flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+
     def test_bad_pruned_model_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "bad.rs"
         model.write_text(
@@ -244,6 +256,51 @@ class TestPipeline:
         assert run(["pipeline", "--config", config_path]) == 0
         output = capsys.readouterr().out
         assert "cached" not in output and output.count("done in") == 6
+
+    def test_pipeline_reruns_a_stage_when_a_setting_it_reads_changes(
+            self, small_corpus_files, tmp_path, capsys):
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        config["variants"] = ["rs_plus"]
+        del config["split"]["seed"]  # the split then uses the top-level seed
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 0
+        capsys.readouterr()
+        config["eval"]["include_multinomial"] = True
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 0
+        output = capsys.readouterr().out
+        assert output.count("cached") == 5 and output.count("done in") == 1
+        assert "[eval] done in" in output
+        config["seed"] = 4
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 0
+        assert "[corpus] done in" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("section, values, named", [
+        ("eval", {"schedule": [[0.0, 1.0]]}, "eval.schedule"),
+        ("eval", {"schedule": "0:1:x"}, "eval.schedule"),
+        ("eval", {"ais_runs": 0}, "eval.ais_runs"),
+        ("eval", {"max_docs": -3}, "eval.max_docs"),
+        ("eval", {"max_docs": 2.5}, "eval.max_docs"),
+        ("split", {"n_train": 320}, "split.n_test"),
+        ("split", {"n_train": 320, "n_test": 0}, "split.n_test"),
+        ("train", {"batch_size": 0}, "'train'"),
+    ])
+    def test_pipeline_bad_setting_fails_before_stages(self, small_corpus_files,
+                                                      tmp_path, capsys, section,
+                                                      values, named):
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        config[section] = values
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "[corpus]" not in captured.out
+        assert not (tmp_path / "run").exists()
 
     def test_pipeline_missing_corpus_fails_before_stages(self, tmp_path, capsys):
         cfg = {
