@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data or model error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -487,17 +488,63 @@ def _run_stage(name, out_path, config, seed, inputs, force, step):
     return True
 
 
+_VARIANTS = ("rs_plus", "rs_plus_sfc", "rs_plus_pruned", "sbm_sfc")
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+# the keys each pipeline config section may hold: those its step reads
+_CONFIG_KEYS = {
+    "corpus": {"docword", "vocab", "select_k", "select_method"},
+    "split": {"n_train", "n_val", "n_test", "seed"},
+    "skeleton": {"island_max", "supergroup_max", "mi_floor"},
+    "train_defaults": _TRAIN_KEYS,
+    "tree_train": _TRAIN_KEYS,
+    "train": _TRAIN_KEYS,
+    "expand": {"add", "fraction"},
+    "prune": {"target_per_unit", "prune_fraction", "retrain_epochs_per_iter"},
+    "eval": {"schedule", "ais_runs", "seed", "max_docs", "include_multinomial"},
+}
+
+
+def _check_config_keys(cfg):
+    """Refuse a key no step reads and a variant name no stage builds, so a
+    typo fails before any stage runs instead of falling back to a default."""
+
+    def check(where, keys, known):
+        unknown = sorted(set(keys) - set(known))
+        if unknown:
+            raise SparsebmError(
+                f"pipeline config {where} has unknown key {unknown[0]!r};"
+                f" known keys: {', '.join(sorted(known))}"
+            )
+
+    check("top level", cfg, {"out_dir", "seed", "variants", *_CONFIG_KEYS})
+    for section, known in _CONFIG_KEYS.items():
+        values = cfg.get(section, {})
+        if not isinstance(values, dict):
+            raise SparsebmError(f"pipeline config section {section!r} must be an object")
+        check(f"section {section!r}", values, known)
+    variants = cfg.get("variants", list(_VARIANTS))
+    if not isinstance(variants, list):
+        raise SparsebmError("pipeline config variants must be a list")
+    for name in variants:
+        if name not in _VARIANTS:
+            raise SparsebmError(
+                f"pipeline config variants: unknown variant {name!r};"
+                f" known variants: {', '.join(_VARIANTS)}"
+            )
+    return variants
+
+
 def cmd_pipeline(args):
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise SparsebmError("pipeline config must be a JSON object")
     for key in ("corpus", "out_dir", "seed"):
         if key not in cfg:
             raise SparsebmError(f"pipeline config is missing {key!r}")
+    variants = _check_config_keys(cfg)
     seed = int(cfg["seed"])
     force = args.force
-    variants = cfg.get(
-        "variants", ["rs_plus", "rs_plus_sfc", "rs_plus_pruned", "sbm_sfc"]
-    )
 
     corpus_cfg = cfg["corpus"]
     docword = Path(corpus_cfg["docword"])

@@ -14,8 +14,6 @@ from .errors import FileFormatError
 from .sbm import _batch_theta, _gibbs_hidden_sweep, _softmax_rows, tree_sum_product
 from .util import log_mean_exp
 
-_AIS_STREAM = 41
-
 
 # ---------------------------------------------------------------------------
 # annealing schedule
@@ -95,11 +93,11 @@ class AisEstimate:
 # unnormalized visible marginals (hidden units summed out exactly)
 
 
-def _log_p_star_batch(model, counts_matrix, lengths, beta=1.0):
-    """log sum_h exp(-E_beta) for each row; beta scales W, Wt and a."""
+def _log_p_star_batch(model, counts_matrix, lengths):
+    """log sum_h exp(-E) for each row."""
     theta, edge_logw = _batch_theta(model, counts_matrix, lengths)
     _, _, logz_h = tree_sum_product(
-        model.structure, beta * theta, beta * edge_logw, want_marginals=False
+        model.structure, theta, edge_logw, want_marginals=False
     )
     return counts_matrix @ model.b + logz_h
 
@@ -135,6 +133,12 @@ def ais_log_z(
     document through the schedule with one full Gibbs sweep per
     temperature; log Z is the base value plus the log-mean-exp of the run
     weights.
+
+    Each visible sample's node potentials theta and its u @ b are computed
+    once, when it is drawn. One log-Z-only sum-product pass over the
+    stacked rows [beta_k theta; beta_k+1 theta] scores it at the two
+    temperatures its weight term compares, and the sweep at beta_k reads
+    the same theta.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -151,17 +155,29 @@ def ais_log_z(
     lengths = np.full(runs, float(doc_length))
     lengths_int = np.full(runs, doc_length, dtype=np.int64)
 
+    theta, edge_logw = _batch_theta(model, u, lengths)
+    n_edges = edge_logw.shape[1]
+    ub = u @ model.b
     log_w = np.zeros(runs)
-    lp_prev = _log_p_star_batch(model, u, lengths, beta=betas[0])
     for k in range(1, betas.size):
-        beta = betas[k]
-        lp_here = _log_p_star_batch(model, u, lengths, beta=beta)
+        # log p* of the current sample at beta_k-1 (rows :runs) and beta_k
+        pair = betas[k - 1 : k + 1, None, None]
+        _, _, logz_h = tree_sum_product(
+            model.structure,
+            (pair * theta).reshape(2 * runs, f),
+            (pair * edge_logw).reshape(2 * runs, n_edges),
+            want_marginals=False,
+        )
+        lp_prev = ub + logz_h[:runs]
+        lp_here = ub + logz_h[runs:]
         log_w += lp_here - lp_prev
         if k < betas.size - 1:
-            h = _gibbs_hidden_sweep(model, u, lengths, h, rng, beta=beta)
+            beta = betas[k]
+            h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=beta)
             p_vis = _softmax_rows(model.b + beta * (h @ model.W))
             u = rng.multinomial(lengths_int, p_vis).astype(np.float64)
-            lp_prev = _log_p_star_batch(model, u, lengths, beta=beta)
+            theta = _batch_theta(model, u, lengths)[0]
+            ub = u @ model.b
     return AisEstimate(
         log_z_mean=log_z_base + log_mean_exp(log_w),
         log_z_base=log_z_base,

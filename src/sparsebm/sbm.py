@@ -491,24 +491,25 @@ def _softmax_rows(logits):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _gibbs_hidden_sweep(model, counts_matrix, lengths, h, rng, beta=1.0):
+def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0):
     """One Gibbs sweep over the hidden units, updating h in place.
 
-    Tree edges only join units of opposite BFS-depth parity, so the units
-    of one colour are independent given the other colour, and each colour
-    is drawn exactly in one vectorised step (chromatic Gibbs): even depths
-    first, units ascending within a colour. A model without tree edges has
-    a single colour, so its sweep is one factorised draw of all units.
+    theta holds the node potentials of the current visible sample, as
+    _batch_theta computes them; it is read, never written. Tree edges only
+    join units of opposite BFS-depth parity, so the units of one colour are
+    independent given the other colour, and each colour is drawn exactly in
+    one vectorised step (chromatic Gibbs): even depths first, units
+    ascending within a colour. A model without tree edges has a single
+    colour, so its sweep is one factorised draw of all units.
     """
     structure = model.structure
-    act = counts_matrix @ model.W.T + lengths[:, None] * model.a
     if structure.n_tree_edges:
         ej, el = structure._edge_ends
         coupling = np.zeros((model.n_hidden, model.n_hidden))
         coupling[ej, el] = model.Wt
         coupling[el, ej] = model.Wt
     for units in structure._bp_plan()[3]:
-        unit_act = act[:, units]
+        unit_act = theta[:, units]  # an index array, so this is a copy
         if structure.n_tree_edges:
             unit_act += lengths[:, None] * (h @ coupling[:, units])
         p = sigmoid(beta * unit_act)
@@ -516,25 +517,27 @@ def _gibbs_hidden_sweep(model, counts_matrix, lengths, h, rng, beta=1.0):
     return h
 
 
-def _sbm_negative_phase(model, counts_matrix, lengths, t, rng, mean_field):
-    """T full Gibbs steps started at the data.
+def _sbm_negative_phase(model, theta, lengths, t, rng, mean_field):
+    """T full Gibbs steps started at the data, whose node potentials theta
+    the positive phase has computed.
 
-    Returns (h_singleton_stat, h_pair_stat, counts): the statistics pairing
-    for the final visible sample, either sampled states (default) or exact
+    Each visible sample's potentials are computed once, when it is drawn,
+    and serve both the next hidden sweep and the final statistic. Returns
+    (h_singleton_stat, h_pair_stat, counts): the statistics pairing for the
+    final visible sample, either sampled states (default) or exact
     posterior expectations (mean_field).
     """
-    u = counts_matrix
     lengths_int = lengths.astype(np.int64)
-    h = np.zeros((u.shape[0], model.n_hidden))
+    h = np.zeros(theta.shape)
     for _ in range(t):
-        h = _gibbs_hidden_sweep(model, u, lengths, h, rng)
+        h = _gibbs_hidden_sweep(model, theta, lengths, h, rng)
         p_vis = _softmax_rows(model.b + h @ model.W)
         u = rng.multinomial(lengths_int, p_vis).astype(np.float64)
-    if mean_field:
         theta, edge_logw = _batch_theta(model, u, lengths)
+    if mean_field:
         singleton, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
         return singleton, pairwise[:, :, 1, 1], u
-    h = _gibbs_hidden_sweep(model, u, lengths, h, rng)
+    h = _gibbs_hidden_sweep(model, theta, lengths, h, rng)
     ej, el = model.structure._edge_ends
     return h, h[:, ej] * h[:, el], u
 
@@ -552,7 +555,7 @@ def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative):
     theta, edge_logw = _batch_theta(model, u, lengths)
     e_h, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
     h_neg, hh_neg, u_neg = _sbm_negative_phase(
-        model, u, lengths, t, rng, mean_field_negative
+        model, theta, lengths, t, rng, mean_field_negative
     )
     grad_w = np.where(model.structure.mask(), e_h.T @ u - h_neg.T @ u_neg, 0.0)
     grad_wt = (pairwise[:, :, 1, 1] * lengths[:, None]).sum(axis=0)

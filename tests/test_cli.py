@@ -302,6 +302,31 @@ class TestPipeline:
         assert "[corpus]" not in captured.out
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("eval", "ais_run", 3, ["'eval'", "'ais_run'"]),
+        ("expand", "fracton", 0.9, ["'expand'", "'fracton'"]),
+        ("split", "sed", 1, ["'split'", "'sed'"]),
+        ("skeleton", "island", 6, ["'skeleton'", "'island'"]),
+        ("train_defaults", "epoch", 3, ["'train_defaults'", "'epoch'"]),
+        ("prune", "train", {}, ["'prune'", "'train'"]),
+        (None, "varients", ["sbm_sfc"], ["top level", "'varients'"]),
+        (None, "variants", ["sbm-sfc"], ["variants", "'sbm-sfc'"]),
+    ])
+    def test_pipeline_unknown_key_or_variant_fails_before_stages(
+            self, small_corpus_files, tmp_path, capsys, section, key, value, named):
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        target = config if section is None else config.setdefault(section, {})
+        target[key] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        for word in named:
+            assert word in captured.err
+        assert "[corpus]" not in captured.out
+        assert not (tmp_path / "run").exists()
+
     def test_pipeline_missing_corpus_fails_before_stages(self, tmp_path, capsys):
         cfg = {
             "corpus": {"docword": str(tmp_path / "ghost.txt"),

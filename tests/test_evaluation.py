@@ -19,7 +19,14 @@ from sparsebm.evaluation import (
     unit_top_words,
 )
 from sparsebm.replicated_softmax import RsModel
-from sparsebm.sbm import SbmModel, SbmStructure
+from sparsebm.sbm import (
+    SbmModel,
+    SbmStructure,
+    _batch_theta,
+    _gibbs_hidden_sweep,
+    _softmax_rows,
+    tree_sum_product,
+)
 from sparsebm.util import rng_from
 
 from conftest import random_doc, random_rs_model, random_sbm_model, token_level_log_z
@@ -27,6 +34,35 @@ from conftest import random_doc, random_rs_model, random_sbm_model, token_level_
 
 def zero_rs(f, k):
     return RsModel(np.zeros((f, k)), np.zeros(f), np.zeros(k))
+
+
+def reference_ais_log_weights(model, doc_length, schedule, runs, rng):
+    """AIS run weights with log p* evaluated on its own at each temperature,
+    before and after every transition, from the counts of the sample."""
+
+    def log_p_star(u, lengths, beta):
+        theta, edge_logw = _batch_theta(model, u, lengths)
+        _, _, logz = tree_sum_product(model.structure, beta * theta,
+                                      beta * edge_logw, want_marginals=False)
+        return u @ model.b + logz
+
+    betas = schedule.betas()
+    p0 = np.exp(model.b - model.b.max())
+    p0 /= p0.sum()
+    u = rng.multinomial(doc_length, p0, size=runs).astype(np.float64)
+    h = np.zeros((runs, model.n_hidden))
+    lengths = np.full(runs, float(doc_length))
+    log_w = np.zeros(runs)
+    lp_prev = log_p_star(u, lengths, betas[0])
+    for k in range(1, betas.size):
+        log_w += log_p_star(u, lengths, betas[k]) - lp_prev
+        if k < betas.size - 1:
+            theta = _batch_theta(model, u, lengths)[0]
+            h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=betas[k])
+            p_vis = _softmax_rows(model.b + betas[k] * (h @ model.W))
+            u = rng.multinomial(np.full(runs, doc_length), p_vis).astype(np.float64)
+            lp_prev = log_p_star(u, lengths, betas[k])
+    return log_w
 
 
 class TestSchedule:
@@ -162,6 +198,28 @@ class TestAis:
             return np.mean(errs)
 
         assert mean_abs_err(100) < mean_abs_err(10)
+
+    @pytest.mark.parametrize("kind, segments", [
+        ("tree", [(0.0, 0.5, 15), (0.5, 1.0, 25)]),
+        ("rs", [(0.0, 0.5, 15), (0.5, 1.0, 25)]),
+        ("tree", [(0.0, 1.0, 1)]),
+    ])
+    def test_run_weights_match_separate_evaluations_bitwise(self, kind, segments):
+        rng = np.random.default_rng(21)
+        if kind == "tree":
+            # unit 0 branches to 1, 2 and 3; 3 continues to 4; 5 is isolated
+            f, k = 6, 5
+            s = SbmStructure(f, k, [(j, j % k) for j in range(f)] + [(0, 3), (4, 1)],
+                             [(0, 1), (0, 2), (0, 3), (3, 4)])
+            model = SbmModel(s, np.where(s.mask(), rng.normal(0, 0.8, (f, k)), 0.0),
+                             rng.normal(0, 0.5, 4), rng.normal(0, 0.3, f),
+                             rng.normal(0, 0.5, k))
+        else:
+            model = random_rs_model(rng, 20, 9, scale=0.3)
+        sched = AisSchedule(segments)
+        est = ais_log_z(model, 6, sched, runs=11, rng=rng_from(4, 8))
+        ref = reference_ais_log_weights(model, 6, sched, 11, rng_from(4, 8))
+        assert np.array_equal(est.per_run_log_weights, ref)
 
 
 class TestPerplexity:

@@ -8,6 +8,7 @@ from sparsebm.replicated_softmax import TrainConfig, rs_energy, rs_hidden_condit
 from sparsebm.sbm import (
     SbmModel,
     SbmStructure,
+    _batch_theta,
     _gibbs_hidden_sweep,
     apply_mask,
     init_sbm_model,
@@ -21,6 +22,7 @@ from sparsebm.sbm import (
     sbm_tree_marginals,
     save_sbm_model,
     save_structure,
+    tree_sum_product,
 )
 from sparsebm.util import rng_from
 
@@ -210,6 +212,22 @@ class TestTreeMarginals:
             expected = sbm_gibbs_hidden_conditional(model, doc, h, j)
             assert post.singleton[j] == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("f", [3, 20, 150])
+    def test_log_z_of_a_stack_equals_each_half_alone(self, f):
+        # AIS scores one sample at two temperatures in one stacked pass, so
+        # each row's log Z must not depend on the rows around it
+        rng = np.random.default_rng(f)
+        structure = random_structure(rng, f, 4, tree_p=0.9)
+        e = structure.n_tree_edges
+        parts = [(rng.normal(0, 3, (n, f)), rng.normal(0, 2, (n, e))) for n in (6, 6, 1)]
+        theta = np.concatenate([t for t, _ in parts])
+        edge_logw = np.concatenate([w for _, w in parts])
+        _, _, stacked = tree_sum_product(structure, theta, edge_logw,
+                                         want_marginals=False)
+        alone = [tree_sum_product(structure, t, w, want_marginals=False)[2]
+                 for t, w in parts]
+        assert np.array_equal(stacked, np.concatenate(alone))
+
 
 class TestGibbsChainEquilibrium:
     def test_long_chain_matches_enumerated_distribution(self):
@@ -277,8 +295,9 @@ class TestGibbsChainEquilibrium:
         lengths = counts.sum(axis=1)
         h = np.zeros((chains, f))
         sweep_rng = rng_from(0, 12)
+        theta = _batch_theta(model, counts, lengths)[0]
         for _ in range(30):
-            h = _gibbs_hidden_sweep(model, counts, lengths, h, sweep_rng, beta=beta)
+            h = _gibbs_hidden_sweep(model, theta, lengths, h, sweep_rng, beta=beta)
         state = (h @ (2.0 ** np.arange(f))).astype(np.int64)
         freq = np.bincount(state, minlength=2**f) / chains
         sigma = np.sqrt(target * (1 - target) / chains)
