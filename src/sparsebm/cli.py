@@ -80,6 +80,15 @@ def _load_any_model(path):
     raise SparsebmError(f"{path}: unsupported model kind {kind!r}")
 
 
+def _check_vocab(model, model_path, corpus):
+    """Refuse a model and a corpus over different vocabulary sizes."""
+    if model.n_visible != corpus.n_words:
+        raise SparsebmError(
+            f"model {model_path} has K={model.n_visible} words but corpus"
+            f" {corpus.name} has K={corpus.n_words}"
+        )
+
+
 def _load_any_structure(path, n_visible=None):
     """Accepts sbm-structure files and skeleton text files."""
     with open(path, encoding="utf-8") as fh:
@@ -247,6 +256,7 @@ def _train_rs(corpus, output, *, hidden, train):
 def _expand(corpus, skeleton, tree_model_path, output, cmi_out, *, add, fraction):
     """Returns the expanded structure and the files written."""
     tree_model = sbm_mod.load_sbm_model(tree_model_path)
+    _check_vocab(tree_model, tree_model_path, corpus)
     table = structure_mod.build_cmi_table(tree_model, corpus)
     m = float(fraction) if add is None else int(add)
     expanded = structure_mod.sbm_sfc(skeleton, tree_model, corpus, m, cmi_table=table)
@@ -378,6 +388,7 @@ def cmd_prune(args):
     if _model_kind(args.model) != "rs-model":
         raise SparsebmError("prune expects an RS model")
     model, _ = pruning.load_pruned_rs(args.model)
+    _check_vocab(model, args.model, corpus)
     if args.target is not None:
         target = args.target
     else:
@@ -399,7 +410,9 @@ def cmd_prune(args):
 def cmd_eval(args):
     t0 = time.time()
     model = _load_any_model(args.model)
-    docs = _held_out_docs(_load_corpus(args.docs), args.max_docs, args.seed)
+    corpus = _load_corpus(args.docs)
+    _check_vocab(model, args.model, corpus)
+    docs = _held_out_docs(corpus, args.max_docs, args.seed)
     lp, _ = evaluation.held_out_log_probs(
         model, docs, args.schedule, args.ais_runs,
         rng_from(args.seed, _EVAL_STREAM), args.include_multinomial,
@@ -747,7 +760,8 @@ def build_parser():
     p.add_argument("--max-docs", type=_positive_int, default=None)
     p.add_argument("--include-multinomial", action="store_true")
     p.add_argument("--exact", action="store_true",
-                   help="use exact enumeration instead of AIS (tiny models)")
+                   help="use the exact closed-form log Z instead of AIS"
+                        " (needs 2^F*K <= 2^25, e.g. F <= 15 at K=1000)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_eval)
 

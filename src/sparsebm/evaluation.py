@@ -187,85 +187,82 @@ def ais_log_z(
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration oracle
+# exact oracle: the visible layer summed out in closed form
+
+# refuse enumerations above this many hidden-state x word entries (2^F K),
+# which still admits F=15 at K=1000 and F=19 at K=60
+_MAX_STATE_WORDS = 2**25
+# hidden-state x word entries held in memory at once
+_CHUNK_WORDS = 2**20
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All count vectors of the given length summing to total."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        block = np.empty((rest.shape[0], parts), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
+def _hidden_marginal_chunks(model):
+    """The hidden marginal with the visible layer summed out, over all 2^F
+    hidden states in blocks of at most _CHUNK_WORDS state-word entries.
 
-
-def _hidden_states(f: int) -> np.ndarray:
-    states = np.arange(2**f)[:, None]
-    return ((states >> np.arange(f)[None, :]) & 1).astype(np.float64)
-
-
-def enumeration_cost(model, doc_length: int) -> int:
-    k = model.n_visible
-    f = model.n_hidden
-    return math.comb(doc_length + k - 1, k - 1) * (2**f)
-
-
-def _exact_terms(model, doc_length: int):
-    """Joint unnormalized log weights over (count vector, hidden state).
-
-    Token-level enumeration is collapsed analytically: each count vector is
-    weighted by its multinomial coefficient, so the sum runs over the
-    token-sequence space the partition function is defined on.
+    By the multinomial theorem a length-D document's token sequences sum
+    out to exp(D g(h)), g(h) = a.h + sum_e Wt_e h_j h_l + logsumexp_k(b_k +
+    (W^T h)_k), so Z_D = sum_h exp(D g(h)). Yields (states, g, p_vis) per
+    block in state order (h_j of state s is bit j of s); p_vis rows are
+    softmax(b + W^T h), so E[u | h] = D p_vis.
     """
-    cost = enumeration_cost(model, doc_length)
-    if cost > 10**7:
+    f, k = model.n_hidden, model.n_visible
+    if 2**f * k > _MAX_STATE_WORDS:
         raise ValueError(
-            f"exact enumeration needs {cost} weighted terms, above the 1e7 limit"
+            f"exact enumeration of 2^{f} hidden states x {k} words is above"
+            f" the 2^25 limit"
         )
-    comps = _compositions(doc_length, model.n_visible).astype(np.float64)
-    mlog = gammaln(doc_length + 1) - gammaln(comps + 1).sum(axis=1)
-    states = _hidden_states(model.n_hidden)
-    theta = comps @ model.W.T + doc_length * model.a
-    tree = np.zeros(states.shape[0])
-    for e, (j, l) in enumerate(model.structure.tree_edges):
-        tree += doc_length * model.Wt[e] * states[:, j] * states[:, l]
-    logits = (mlog + comps @ model.b)[:, None] + theta @ states.T + tree[None, :]
-    return comps, states, logits
+    ej, el = model.structure._edge_ends
+    step = max(1, _CHUNK_WORDS // k)
+    for start in range(0, 2**f, step):
+        index = np.arange(start, min(start + step, 2**f))
+        states = ((index[:, None] >> np.arange(f)) & 1).astype(np.float64)
+        logits = model.b + states @ model.W
+        peak = logits.max(axis=1)
+        p_vis = np.exp(logits - peak[:, None])
+        norm = p_vis.sum(axis=1)
+        p_vis /= norm[:, None]
+        pairs = states[:, ej] * states[:, el]
+        g = states @ model.a + pairs @ model.Wt + (peak + np.log(norm))
+        yield states, g, p_vis
 
 
-def exact_log_z(model, doc_length: int) -> float:
-    """Exact log partition for documents of one length, by enumeration over
-    all count vectors and all hidden states. Refuses oversized problems."""
-    _, _, logits = _exact_terms(model, doc_length)
-    return float(logsumexp(logits))
+def exact_log_z(model, doc_length):
+    """Exact log partition on the token-sequence scale, logsumexp_h D g(h):
+    one pass over the hidden states, then one logsumexp per length. Takes an
+    int (returns a float) or an array of lengths (returns an array). Refuses
+    2^F K above 2^25, e.g. F above 15 at K=1000."""
+    g = np.concatenate([g for _, g, _ in _hidden_marginal_chunks(model)])
+    if np.ndim(doc_length) == 0:
+        return float(logsumexp(doc_length * g))
+    return np.array([logsumexp(d * g) for d in doc_length])
 
 
 def exact_expectations(model, doc_length: int):
     """Exact model expectations used for gradient oracles.
 
-    Returns a dict with E[h] (F,), E[u] (K,), E[h u^T] (F, K) and E[h_j h_l]
-    per tree edge (E,), all under the model at the given document length.
+    Returns a dict with E[h] (F,), E[u] (K,), E[h u^T] (F, K), E[h_j h_l]
+    per tree edge (E,) and log Z, all under the model at the given document
+    length, from p(h) = exp(D g(h) - log Z) and E[u | h] = D p_vis(h).
     """
-    comps, states, logits = _exact_terms(model, doc_length)
-    log_z = logsumexp(logits)
-    p = np.exp(logits - log_z)
-    edges = model.structure.tree_edges
-    e_u = p.sum(axis=1) @ comps
-    e_h = p.sum(axis=0) @ states
-    e_hu = states.T @ (p.T @ comps)
-    e_hh = np.zeros(len(edges))
-    for e, (j, l) in enumerate(edges):
-        e_hh[e] = p.sum(axis=0) @ (states[:, j] * states[:, l])
-    return {"h": e_h, "u": e_u, "hu": e_hu, "hh": e_hh, "log_z": float(log_z)}
+    log_z = exact_log_z(model, doc_length)
+    ej, el = model.structure._edge_ends
+    e_h = np.zeros(model.n_hidden)
+    e_hh = np.zeros(ej.size)
+    e_hu = np.zeros((model.n_hidden, model.n_visible))
+    e_u = np.zeros(model.n_visible)
+    for states, g, p_vis in _hidden_marginal_chunks(model):
+        p = np.exp(doc_length * g - log_z)
+        e_h += p @ states
+        e_hh += p @ (states[:, ej] * states[:, el])
+        e_hu += (states.T * p) @ p_vis
+        e_u += p @ p_vis
+    return {"h": e_h, "u": doc_length * e_u, "hu": doc_length * e_hu, "hh": e_hh,
+            "log_z": log_z}
 
 
 def exact_log_prob(model, doc: Document, include_multinomial: bool = False) -> float:
-    """Exact held-out log probability via enumeration, for tiny models."""
+    """Exact held-out log probability, for models within exact_log_z's limit."""
     lp = log_p_star(model, doc) - exact_log_z(model, doc.length)
     if include_multinomial:
         lp += log_multinomial_coeff(doc)
@@ -302,9 +299,9 @@ def held_out_log_probs(
 
     One partition value is computed per distinct document length, in
     ascending length order: by AIS (one ais_log_z call per length, all
-    drawing from rng), or by log_z_fn, any callable (model, length) -> log Z
-    such as the exact oracle for tiny models. Returns (log_probs,
-    {length: log Z}).
+    drawing from rng), or by one call log_z_fn(model, lengths) with the
+    array of sorted distinct lengths, returning one log Z per length, such
+    as exact_log_z. Returns (log_probs, {length: log Z}).
     """
     docs = list(docs)
     if not docs:
@@ -319,7 +316,8 @@ def held_out_log_probs(
             d: ais_log_z(model, d, schedule, runs, rng).log_z_mean for d in lengths
         }
     else:
-        log_z_by_length = {d: float(log_z_fn(model, d)) for d in lengths}
+        log_z = log_z_fn(model, np.array(lengths))
+        log_z_by_length = {d: float(z) for d, z in zip(lengths, log_z)}
     lp = per_document_log_probs(model, docs, log_z_by_length, include_multinomial)
     return lp, log_z_by_length
 
@@ -342,10 +340,10 @@ def perplexity(
     """Average per-word perplexity over held-out documents.
 
     One partition estimate is shared per distinct document length. log_z_fn
-    overrides AIS with any callable (model, length) -> log Z, e.g. the exact
-    oracle for tiny models. The multinomial token-permutation factor is off
-    by default; with it off, the zero-weight model scores exactly the
-    vocabulary size.
+    overrides AIS with one call log_z_fn(model, lengths) on the array of
+    sorted distinct lengths, e.g. exact_log_z. The multinomial
+    token-permutation factor is off by default; with it off, the
+    zero-weight model scores exactly the vocabulary size.
     """
     docs = list(docs)
     lp, _ = held_out_log_probs(

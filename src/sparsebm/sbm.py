@@ -742,10 +742,11 @@ def _parse_dims(sections, path, *names):
         raise FileFormatError(f"{path}: missing [dims] section")
     dims = {}
     for line in sections["dims"]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}: malformed dims line {line!r}")
-        dims[parts[0]] = int(parts[1])
+        try:
+            name, value = line.split()
+            dims[name] = int(value)
+        except ValueError:
+            raise FileFormatError(f"{path}: malformed dims line {line!r}") from None
     for name in names:
         if name not in dims:
             raise FileFormatError(f"{path}: [dims] missing {name}")
@@ -757,12 +758,32 @@ def _parse_vector(sections, name, size, path):
         raise FileFormatError(f"{path}: missing [{name}] section")
     values = []
     for line in sections[name]:
-        values.extend(float(tok) for tok in line.split())
+        try:
+            values.extend(float(tok) for tok in line.split())
+        except ValueError:
+            raise FileFormatError(f"{path}: bad number in [{name}] line {line!r}") from None
     if len(values) != size:
         raise FileFormatError(
             f"{path}: [{name}] holds {len(values)} values, expected {size}"
         )
     return np.array(values, dtype=np.float64)
+
+
+def _parse_edges(sections, name, path, weighted):
+    """The (j, l) pairs of an edge section and, when weighted, the weight
+    that ends each line."""
+    edges, weights = [], []
+    for line in sections.get(name, []):
+        try:
+            j, l, *weight = line.split()
+            if len(weight) != int(weighted):
+                raise ValueError
+            edges.append((int(j), int(l)))
+            weights.extend(float(x) for x in weight)
+        except ValueError:
+            kind = name.split("_")[0]
+            raise FileFormatError(f"{path}: malformed {kind} edge {line!r}") from None
+    return edges, weights
 
 
 def save_structure(structure: SbmStructure, path) -> None:
@@ -784,18 +805,8 @@ def save_structure(structure: SbmStructure, path) -> None:
 def load_structure(path) -> SbmStructure:
     sections = read_sections(path, "sbm-structure")
     f, k = _parse_dims(sections, path, "F", "K")
-    visible = []
-    for line in sections.get("visible_edges", []):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}: malformed visible edge {line!r}")
-        visible.append((int(parts[0]), int(parts[1])))
-    tree = []
-    for line in sections.get("tree_edges", []):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}: malformed tree edge {line!r}")
-        tree.append((int(parts[0]), int(parts[1])))
+    visible, _ = _parse_edges(sections, "visible_edges", path, weighted=False)
+    tree, _ = _parse_edges(sections, "tree_edges", path, weighted=False)
     return SbmStructure(f, k, visible, tree)
 
 
@@ -827,22 +838,8 @@ def save_sbm_model(model: SbmModel, path) -> None:
 def load_sbm_model(path) -> SbmModel:
     sections = read_sections(path, "sbm-model")
     f, k = _parse_dims(sections, path, "F", "K")
-    visible = []
-    weights = []
-    for line in sections.get("visible_edges", []):
-        parts = line.split()
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}: malformed visible edge {line!r}")
-        visible.append((int(parts[0]), int(parts[1])))
-        weights.append(float(parts[2]))
-    tree = []
-    tree_weights = []
-    for line in sections.get("tree_edges", []):
-        parts = line.split()
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}: malformed tree edge {line!r}")
-        tree.append((int(parts[0]), int(parts[1])))
-        tree_weights.append(float(parts[2]))
+    visible, weights = _parse_edges(sections, "visible_edges", path, weighted=True)
+    tree, tree_weights = _parse_edges(sections, "tree_edges", path, weighted=True)
     structure = SbmStructure(f, k, visible, tree)
     w = np.zeros((f, k))
     rows, cols = np.array(visible, dtype=np.int64).reshape(-1, 2).T

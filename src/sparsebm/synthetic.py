@@ -136,11 +136,13 @@ def boltzmann_corpus(
     calibrated per unit so every group's activation rate is close to
     target_activation at the middle document length; without this, the
     softmax normalizer term lets larger groups monopolise the hidden
-    prior. Sampling is exact: the hidden prior is enumerated per document
-    length, then tokens are drawn from the conditional softmax.
+    prior. Sampling is exact: the hidden prior, with the visible layer
+    summed out in closed form, is enumerated per document length, then
+    tokens are drawn from the conditional softmax.
 
     Returns (SyntheticCorpus, SbmModel) with the generating model attached.
     """
+    from .evaluation import _hidden_marginal_chunks
     from .sbm import SbmModel, SbmStructure
 
     if n_groups < 1 or n_words < n_groups:
@@ -173,53 +175,40 @@ def boltzmann_corpus(
     wt = np.full(len(tree), tree_weight)
     b = np.zeros(n_words)
 
-    states = ((np.arange(2**n_groups)[:, None] >> np.arange(n_groups)[None, :]) & 1).astype(
-        np.float64
-    )
-    pair = np.stack([states[:, j] * states[:, l] for j, l in tree], axis=1)
-    # per-state log softmax normalizer, the term that couples the hidden prior
-    log_norm = np.array(
-        [np.log(np.exp(b + states[s] @ w_mat).sum()) for s in range(states.shape[0])]
-    )
+    # the hidden marginal without the bias term, a.h, which the calibration
+    # below adds per state
+    unbiased = SbmModel(structure, w_mat, wt, np.zeros(n_groups), b)
+    states, free, p_vis = map(np.concatenate, zip(*_hidden_marginal_chunks(unbiased)))
 
-    mid = (lo + hi) / 2.0
-
-    def activation_rates(a_vec):
-        logits = mid * (states @ a_vec + pair @ wt + log_norm)
+    def hidden_prior(d, a_vec):
+        logits = d * (states @ a_vec + free)
         logits -= logits.max()
         p = np.exp(logits)
-        p /= p.sum()
-        return p @ states
+        return p / p.sum()
 
     # coordinate-wise bisection of each unit's bias toward the target rate
+    # at the middle length
+    mid = (lo + hi) / 2.0
     a = np.full(n_groups, -5.0)
     for _ in range(8):
         for g in range(n_groups):
             g_lo, g_hi = -20.0, 5.0
             for _ in range(40):
                 a[g] = 0.5 * (g_lo + g_hi)
-                if activation_rates(a)[g] > target_activation:
+                if (hidden_prior(mid, a) @ states)[g] > target_activation:
                     g_hi = a[g]
                 else:
                     g_lo = a[g]
 
     truth = SbmModel(structure, w_mat, wt, a, b)
 
-    hidden_dist = {}
-    for d in range(lo, hi + 1):
-        logits = d * (states @ a + pair @ wt + log_norm)
-        logits -= logits.max()
-        p = np.exp(logits)
-        hidden_dist[d] = p / p.sum()
+    hidden_dist = {d: hidden_prior(d, a) for d in range(lo, hi + 1)}
 
     docs = []
     for _ in range(n_docs):
         d = int(rng.integers(lo, hi + 1))
         s = int(rng.choice(states.shape[0], p=hidden_dist[d]))
-        logits_v = b + states[s] @ w_mat
-        p_tok = np.exp(logits_v - logits_v.max())
-        p_tok /= p_tok.sum()
-        counts = rng.multinomial(d, p_tok)
+        counts = rng.multinomial(d, p_vis[s])
         words = np.nonzero(counts)[0]
         docs.append(Document(words, counts[words]))
 

@@ -7,6 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from sparsebm.corpus import Corpus, Document
 from sparsebm.replicated_softmax import RsModel
@@ -52,7 +53,8 @@ def brute_posterior(model, doc):
 
 def token_level_log_z(model, doc_length):
     """Partition function by enumerating every token sequence and hidden
-    state; independent of the composition-based oracle in the package."""
+    state; independent of both the count-vector reference below and the
+    package's closed form."""
     k = model.n_visible
     vals = []
     for seq in itertools.product(range(k), repeat=doc_length):
@@ -62,6 +64,46 @@ def token_level_log_z(model, doc_length):
     vals = np.concatenate(vals)
     m = vals.max()
     return float(m + np.log(np.exp(vals - m).sum()))
+
+
+def compositions(total, parts):
+    """All count vectors of the given length summing to total."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for first in range(total + 1):
+        rest = compositions(total - first, parts - 1)
+        block = np.empty((rest.shape[0], parts), dtype=np.int64)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        rows.append(block)
+    return np.concatenate(rows, axis=0)
+
+
+def count_vector_expectations(model, doc_length):
+    """E[h], E[u], E[h u^T], E[h_j h_l] per tree edge and log Z, by
+    enumerating every (count vector, hidden state) pair, each count vector
+    weighted by its multinomial coefficient so the sum runs over the
+    token-sequence space."""
+    w, a, b, edges, wt = model_energy_terms(model)
+    comps = compositions(doc_length, model.n_visible).astype(np.float64)
+    mlog = gammaln(doc_length + 1) - gammaln(comps + 1).sum(axis=1)
+    states = hidden_states(model.n_hidden)
+    theta = comps @ w.T + doc_length * a
+    tree = np.zeros(states.shape[0])
+    for e, (j, l) in enumerate(edges):
+        tree += doc_length * wt[e] * states[:, j] * states[:, l]
+    logits = (mlog + comps @ b)[:, None] + theta @ states.T + tree[None, :]
+    log_z = logsumexp(logits)
+    p = np.exp(logits - log_z)
+    p_h = p.sum(axis=0)
+    return {
+        "h": p_h @ states,
+        "u": p.sum(axis=1) @ comps,
+        "hu": states.T @ (p.T @ comps),
+        "hh": np.array([p_h @ (states[:, j] * states[:, l]) for j, l in edges]),
+        "log_z": float(log_z),
+    }
 
 
 def random_rs_model(rng, n_hidden, n_visible, scale=0.7):

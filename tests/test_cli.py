@@ -83,6 +83,49 @@ class TestDispatch:
         assert "bad.rs" in err and "out of range" in err
 
 
+class TestVocabularyMismatch:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """K=6 RS and tree models, and K=4 and K=8 corpora with skeletons."""
+        from sparsebm.replicated_softmax import RsModel, save_rs_model
+        from sparsebm.sbm import SbmModel, SbmStructure, save_sbm_model
+
+        tmp = tmp_path_factory.mktemp("vocab")
+        rng = np.random.default_rng(0)
+        save_rs_model(RsModel(rng.normal(0, 0.1, (2, 6)), np.zeros(2), np.zeros(6)),
+                      tmp / "k6.rs")
+        tree = SbmStructure(2, 6, [(j // 3, j) for j in range(6)], [(0, 1)])
+        save_sbm_model(SbmModel(tree, np.where(tree.mask(), 0.1, 0.0), [0.1],
+                                np.zeros(2), np.zeros(6)), tmp / "k6.sbm")
+        for k in (4, 8):
+            made = sparse_topic_corpus(30, seed=0, n_words=k, n_groups=2,
+                                       doc_len_range=(3, 6))
+            save_uci_bow(made.corpus, tmp / f"k{k}.docword.txt", tmp / f"k{k}.vocab.txt")
+            groups = [" ".join(str(v) for v in g) for g in (range(k // 2), range(k // 2, k))]
+            (tmp / f"k{k}.skel").write_text(f"0: {groups[0]}\n1: {groups[1]}\n[tree]\n0 1\n")
+        return tmp
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("command", ["eval", "prune", "expand"])
+    def test_model_and_corpus_vocabularies_must_match(self, files, command, k, capsys):
+        corpus = files / f"k{k}"
+        model = files / ("k6.sbm" if command == "expand" else "k6.rs")
+        out = files / f"out-{command}-{k}"
+        argv = {
+            "eval": ["eval", "--model", model, "--docs", corpus, "--ais-runs", 2,
+                     "--schedule", "0:1:2", "-o", out],
+            "prune": ["prune", "--corpus", corpus, "--model", model, "--target", 1,
+                      "-o", out],
+            "expand": ["expand", "--corpus", corpus, "--skeleton", files / f"k{k}.skel",
+                       "--tree-model", model, "-o", out],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert model.name in err and f"k{k}.docword.txt" in err
+        assert "K=6" in err and f"K={k}" in err
+        assert not out.exists()
+
+
 class TestPrepare:
     def test_prepare_splits_and_manifests(self, small_corpus_files, tmp_path):
         tmp, prefix = small_corpus_files

@@ -5,11 +5,13 @@ import pytest
 
 from sparsebm.corpus import Document
 from sparsebm.errors import FileFormatError
+from sparsebm import evaluation
 from sparsebm.evaluation import (
     AisSchedule,
     EmbeddingTable,
     ais_log_z,
     default_schedule,
+    exact_expectations,
     exact_log_z,
     interpretability_model,
     interpretability_unit,
@@ -29,7 +31,13 @@ from sparsebm.sbm import (
 )
 from sparsebm.util import rng_from
 
-from conftest import random_doc, random_rs_model, random_sbm_model, token_level_log_z
+from conftest import (
+    count_vector_expectations,
+    random_doc,
+    random_rs_model,
+    random_sbm_model,
+    token_level_log_z,
+)
 
 
 def zero_rs(f, k):
@@ -138,6 +146,61 @@ class TestExactLogZ:
             exact_log_z(model, 40)
 
 
+def branching_tree_model(rng, scale=0.7):
+    """F=5, K=4: unit 0 branches to 1, 2 and 3, and 3 continues to 4."""
+    f, k = 5, 4
+    s = SbmStructure(f, k, [(j, j % k) for j in range(f)] + [(0, 3), (2, 1), (4, 2)],
+                     [(0, 1), (0, 2), (0, 3), (3, 4)])
+    return SbmModel(s, np.where(s.mask(), rng.normal(0, scale, (f, k)), 0.0),
+                    rng.normal(0, scale, 4), rng.normal(0, scale / 2, f),
+                    rng.normal(0, scale / 2, k))
+
+
+class TestClosedFormAgainstCountVectors:
+    @pytest.mark.parametrize("doc_length", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("kind", ["tree", "rs"])
+    def test_log_z_and_expectations_match_enumeration(self, kind, doc_length):
+        rng = np.random.default_rng(31)
+        if kind == "tree":
+            model = branching_tree_model(rng)
+        else:
+            model = random_rs_model(rng, 4, 5)
+        ref = count_vector_expectations(model, doc_length)
+        assert abs(exact_log_z(model, doc_length) - ref["log_z"]) <= 1e-12
+        ex = exact_expectations(model, doc_length)
+        assert sorted(ex) == sorted(ref)
+        assert abs(ex["log_z"] - ref["log_z"]) <= 1e-12
+        for key in ("h", "u", "hu", "hh"):
+            assert ex[key].shape == ref[key].shape, key
+            assert np.allclose(ex[key], ref[key], rtol=0.0, atol=1e-12), key
+
+    def test_array_of_lengths_matches_each_length(self):
+        model = branching_tree_model(np.random.default_rng(32))
+        lengths = np.array([1, 4, 9, 30])
+        log_z = exact_log_z(model, lengths)
+        assert isinstance(log_z, np.ndarray) and log_z.shape == (4,)
+        for d, z in zip(lengths, log_z):
+            assert z == exact_log_z(model, int(d))
+        assert isinstance(exact_log_z(model, 3), float)
+
+    def test_blocks_of_a_few_states_give_the_same_numbers(self, monkeypatch):
+        model = branching_tree_model(np.random.default_rng(33))
+        whole = exact_expectations(model, 6)
+        # three states per block, so the 32 states span eleven blocks
+        monkeypatch.setattr(evaluation, "_CHUNK_WORDS", 3 * model.n_visible)
+        blocks = exact_expectations(model, 6)
+        for key in whole:
+            assert np.allclose(blocks[key], whole[key], rtol=0.0, atol=1e-12), key
+
+    def test_limit_is_on_states_times_words(self):
+        # 2^15 states x 1000 words is inside the limit, 2^16 x 1000 is not
+        assert exact_log_z(zero_rs(15, 1000), 50) == pytest.approx(
+            15 * math.log(2) + 50 * math.log(1000), abs=1e-9
+        )
+        with pytest.raises(ValueError, match="enumeration"):
+            exact_log_z(zero_rs(16, 1000), 50)
+
+
 class TestAis:
     def test_degenerate_schedule_zero_model(self):
         model = zero_rs(4, 5)
@@ -182,6 +245,20 @@ class TestAis:
         exact = exact_log_z(model, 3)
         sched = AisSchedule([(0.0, 0.5, 50), (0.5, 0.9, 150), (0.9, 1.0, 300)])
         est = ais_log_z(model, 3, sched, runs=100, rng=rng_from(0, 4))
+        assert abs(est.log_z_mean - exact) <= 3 * est.standard_error
+
+    @pytest.mark.parametrize("kind", ["sbm", "rs"])
+    def test_matches_exact_at_paper_vocabulary_size(self, kind):
+        # F=12, K=1000, D=50: the closed-form oracle reaches a realistic
+        # vocabulary, where the K=5 cases above cannot look
+        rng_model = np.random.default_rng(12)
+        if kind == "sbm":
+            model = random_sbm_model(rng_model, 12, 1000, scale=0.3)
+        else:
+            model = random_rs_model(rng_model, 12, 1000, scale=0.3)
+        exact = exact_log_z(model, 50)
+        sched = AisSchedule([(0.0, 0.5, 100), (0.5, 0.9, 200), (0.9, 1.0, 300)])
+        est = ais_log_z(model, 50, sched, runs=100, rng=rng_from(0, 12))
         assert abs(est.log_z_mean - exact) <= 3 * est.standard_error
 
     def test_error_shrinks_with_more_runs(self):

@@ -262,6 +262,21 @@ class TestSerialization:
         with pytest.raises(FileFormatError):
             load_rs_model(path)
 
+    @pytest.mark.parametrize("section, line", [
+        ("dims", "F x"), ("W", "0.1 zz 0.3 0.4"), ("b", "1e400x 0 0 0"),
+    ])
+    def test_bad_number_names_file_and_line(self, tmp_path, section, line):
+        from sparsebm.errors import FileFormatError
+
+        path = tmp_path / "m.rs"
+        save_rs_model(random_rs_model(np.random.default_rng(9), 3, 4), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index(f"[{section}]") + 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as exc:
+            load_rs_model(path)
+        assert "m.rs" in str(exc.value) and repr(line) in str(exc.value)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             RsModel(np.zeros((2, 3)), np.zeros(3), np.zeros(3))

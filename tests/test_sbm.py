@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsebm.corpus import Corpus, Document
-from sparsebm.errors import StructureError
+from sparsebm.errors import FileFormatError, StructureError
 from sparsebm.evaluation import exact_expectations, exact_log_prob
 from sparsebm.replicated_softmax import TrainConfig, rs_energy, rs_hidden_conditional
 from sparsebm.sbm import (
@@ -466,3 +466,30 @@ class TestModelSerialization:
         assert np.array_equal(loaded.Wt, model.Wt)
         assert np.array_equal(loaded.a, model.a)
         assert np.array_equal(loaded.b, model.b)
+
+    @pytest.mark.parametrize("section, line", [
+        ("dims", "F x"), ("visible_edges", "0 1 zz"), ("visible_edges", "0 x 0.5"),
+        ("tree_edges", "0 1 zz"), ("tree_edges", "0"), ("a", "0.1 zz 0.3"),
+    ])
+    def test_bad_number_names_file_and_line(self, tmp_path, section, line):
+        path = tmp_path / "m.sbm"
+        save_sbm_model(random_sbm_model(np.random.default_rng(16), 3, 5), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index(f"[{section}]") + 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as exc:
+            load_sbm_model(path)
+        assert "m.sbm" in str(exc.value) and repr(line) in str(exc.value)
+
+    @pytest.mark.parametrize("section, line", [
+        ("dims", "K 5.5"), ("visible_edges", "0 zz"), ("tree_edges", "0 1 2"),
+    ])
+    def test_bad_structure_line_names_file_and_line(self, tmp_path, section, line):
+        path = tmp_path / "s.struct"
+        save_structure(random_structure(np.random.default_rng(17), 3, 5), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index(f"[{section}]") + 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as exc:
+            load_structure(path)
+        assert "s.struct" in str(exc.value) and repr(line) in str(exc.value)
