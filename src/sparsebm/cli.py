@@ -89,16 +89,12 @@ def _check_vocab(model, model_path, corpus):
         )
 
 
-def _load_any_structure(path, n_visible=None):
-    """Accepts sbm-structure files and skeleton text files."""
+def _load_any_structure(path, n_visible):
+    """Accepts sbm-structure files and skeleton text files over n_visible words."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().split()
     if first[:1] == ["sparsebm"]:
         return sbm_mod.load_structure(path)
-    if n_visible is None:
-        raise SparsebmError(
-            f"{path}: skeleton files need the vocabulary size; pass a corpus"
-        )
     return structure_mod.load_skeleton(path, n_visible).to_structure()
 
 
@@ -580,8 +576,14 @@ def cmd_pipeline(args):
             "seed": seed, **cfg.get("train_defaults", {}), **cfg.get(section, {}),
         })
 
+    def prune_config(default_target):
+        return settings(pruning.PruneConfig, "prune", {
+            "target_per_unit": default_target, **cfg.get("prune", {}), "train": main_cfg,
+        })
+
     tree_cfg = train_config("tree_train")
     main_cfg = train_config("train")
+    prune_config(1)  # fail before any stage; the default target needs the expanded structure
 
     eval_cfg = cfg.get("eval", {})
     eval_params = {"seed": eval_cfg.get("seed", seed),
@@ -663,10 +665,7 @@ def cmd_pipeline(args):
                    functools.partial(_train_sbm, train_corpus, no_tree, path))
     if "rs_plus_pruned" in variants:
         path = model_paths["rs_plus_pruned"] = out / "rs_plus_pruned.rs"
-        prune = settings(pruning.PruneConfig, "prune", {
-            "target_per_unit": int(expanded.degrees().max()), **cfg.get("prune", {}),
-            "train": main_cfg,
-        })
+        prune = prune_config(int(expanded.degrees().max()))
         _run_stage(
             "rs-plus-pruned", path, {"prune": prune}, seed, [*train_files, rs_path],
             force, lambda prune: _prune(_load_any_model(rs_path), train_corpus, path,

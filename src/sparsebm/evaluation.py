@@ -11,7 +11,7 @@ from scipy.special import gammaln, logsumexp
 
 from .corpus import Document, dense_counts
 from .errors import FileFormatError
-from .sbm import _batch_theta, _gibbs_hidden_sweep, _softmax_rows, tree_sum_product
+from .sbm import _batch_theta, _gibbs_step, tree_sum_product
 from .util import log_mean_exp
 
 
@@ -130,9 +130,9 @@ def ais_log_z(
     The base distribution keeps the visible biases and scales all other
     parameters to zero, so its partition function is available in closed
     form: F log 2 + D log sum_k exp(b_k). Each run anneals a sampled
-    document through the schedule with one full Gibbs sweep per
-    temperature; log Z is the base value plus the log-mean-exp of the run
-    weights.
+    document through the schedule with one full Gibbs step (sbm._gibbs_step,
+    CD's transition) per temperature; log Z is the base value plus the
+    log-mean-exp of the run weights.
 
     Each visible sample's node potentials theta and its u @ b are computed
     once, when it is drawn. One log-Z-only sum-product pass over the
@@ -153,7 +153,6 @@ def ais_log_z(
     u = rng.multinomial(doc_length, p0, size=runs).astype(np.float64)
     h = np.zeros((runs, f))
     lengths = np.full(runs, float(doc_length))
-    lengths_int = np.full(runs, doc_length, dtype=np.int64)
 
     theta, edge_logw = _batch_theta(model, u, lengths)
     n_edges = edge_logw.shape[1]
@@ -172,11 +171,7 @@ def ais_log_z(
         lp_here = ub + logz_h[runs:]
         log_w += lp_here - lp_prev
         if k < betas.size - 1:
-            beta = betas[k]
-            h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=beta)
-            p_vis = _softmax_rows(model.b + beta * (h @ model.W))
-            u = rng.multinomial(lengths_int, p_vis).astype(np.float64)
-            theta = _batch_theta(model, u, lengths)[0]
+            h, u, theta = _gibbs_step(model, theta, lengths, h, rng, betas[k])
             ub = u @ model.b
     return AisEstimate(
         log_z_mean=log_z_base + log_mean_exp(log_w),

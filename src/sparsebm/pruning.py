@@ -12,7 +12,7 @@ from .corpus import Corpus
 from .errors import FileFormatError, StructureError
 from .replicated_softmax import load_rs_model, save_rs_model
 from .sbm import SbmModel, SbmStructure, TrainConfig, sbm_fit
-from .util import rng_from
+from .util import check_int, rng_from
 
 _PRUNE_CD_STREAM = 23
 
@@ -33,12 +33,10 @@ class PruneConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.target_per_unit < 1:
-            raise ValueError("target_per_unit must be at least 1")
+        check_int("target_per_unit", self.target_per_unit, 1)
+        check_int("retrain_epochs_per_iter", self.retrain_epochs_per_iter, 1)
         if not 0.0 < self.prune_fraction < 1.0:
             raise ValueError("prune_fraction must lie in (0, 1)")
-        if self.retrain_epochs_per_iter < 1:
-            raise ValueError("retrain_epochs_per_iter must be at least 1")
 
 
 @dataclass

@@ -58,13 +58,9 @@ def _with_mask(model, mask):
     return SbmModel(SbmStructure.from_mask(mask, []), model.W, (), model.a, model.b)
 
 
-def rs_energy(model, doc: Document, h) -> float:
-    """Energy of a (document, hidden state) pair.
-
-    -sum_jk W_jk h_j u_k - sum_k u_k b_k - D sum_j h_j a_j, with u the word
-    counts and D the document length.
-    """
-    return sbm_energy(model, doc, h)
+# a tree-less model has no tree term, so the SBM energy is the RS energy
+# -sum_jk W_jk h_j u_k - sum_k u_k b_k - D sum_j h_j a_j
+rs_energy = sbm_energy
 
 
 def rs_hidden_conditional(model, doc: Document) -> np.ndarray:
@@ -99,23 +95,8 @@ def rs_cd_gradients(model, batch, t, rng, mean_field_negative=False):
     return {name: grads[name] for name in ("W", "a", "b")}
 
 
-def rs_cd_step(
-    model,
-    batch,
-    t: int,
-    lr: float,
-    rng: np.random.Generator,
-    mean_field_negative: bool = False,
-    weight_decay: float = 0.0,
-    mask: np.ndarray | None = None,
-):
-    """One CD-T parameter update; returns a new model.
-
-    When a boolean mask is given, masked-out weights are forced back to
-    exactly zero after the update.
-    """
-    return sbm_cd_step(_with_mask(model, mask), batch, t, lr, rng,
-                       mean_field_negative, weight_decay)
+# one CD-T update, returning a new model with off-structure weights zero
+rs_cd_step = sbm_cd_step
 
 
 def init_rs_model(corpus: Corpus, n_hidden: int, config: TrainConfig):
@@ -149,10 +130,7 @@ def rs_train(corpus: Corpus, n_hidden: int, config: TrainConfig):
     """Initialise and CD-train a Replicated Softmax model."""
     if corpus.n_docs == 0:
         raise ValueError("corpus is empty")
-    model = init_rs_model(corpus, n_hidden, config)
-    if config.epochs == 0:
-        return model
-    return rs_fit(model, corpus, config)
+    return rs_fit(init_rs_model(corpus, n_hidden, config), corpus, config)
 
 
 # ---------------------------------------------------------------------------

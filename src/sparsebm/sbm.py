@@ -12,13 +12,14 @@ set and no tree. Both run through the code here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus, Document, dense_counts, minibatch_indices
 from .errors import FileFormatError, StructureError
-from .util import rng_from, sigmoid
+from .util import check_int, rng_from, sigmoid
 
 _INIT_STREAM = 31
 _CD_STREAM = 32
@@ -28,11 +29,10 @@ _CD_STREAM = 32
 class TrainConfig:
     """Contrastive-divergence training settings.
 
-    cd_steps is the number of full Gibbs steps T per update. momentum and
-    weight_decay default to off. visible_bias_init may be "zero" or
-    "log-frequency" (add-one smoothed empirical log word frequencies).
-    mean_field_negative switches the final hidden statistic of the negative
-    phase from a sampled state to its probability.
+    cd_steps is the number of full Gibbs steps T per update. epochs,
+    cd_steps, batch_size and seed must be integers. visible_bias_init may be
+    "zero" or "log-frequency" (add-one smoothed empirical log word
+    frequencies).
 
     hidden_bias_lr_scale multiplies the step size of the parameters whose
     gradients carry the document-length factor (hidden biases and, for
@@ -47,21 +47,16 @@ class TrainConfig:
     batch_size: int = 100
     seed: int = 0
     weight_init_std: float = 0.001
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     visible_bias_init: str = "zero"
-    mean_field_negative: bool = False
     hidden_bias_lr_scale: float | str = 1.0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.cd_steps < 1:
-            raise ValueError("cd_steps must be at least 1")
+        check_int("epochs", self.epochs, 0)
+        check_int("cd_steps", self.cd_steps, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if self.weight_init_std < 0:
             raise ValueError("weight_init_std must be non-negative")
         if self.visible_bias_init not in ("zero", "log-frequency"):
@@ -442,17 +437,8 @@ def tree_sum_product(
         stack -= stack.max(axis=1, keepdims=True)
         tab = np.exp(stack)
         tab /= tab.sum(axis=1, keepdims=True)
-        j, _ = structure.tree_edges[e]
-        if p == j:  # parent is the lower endpoint: table rows are h_j
-            pairwise[:, e, 0, 0] = tab[:, 0]
-            pairwise[:, e, 0, 1] = tab[:, 1]
-            pairwise[:, e, 1, 0] = tab[:, 2]
-            pairwise[:, e, 1, 1] = tab[:, 3]
-        else:
-            pairwise[:, e, 0, 0] = tab[:, 0]
-            pairwise[:, e, 0, 1] = tab[:, 2]
-            pairwise[:, e, 1, 0] = tab[:, 1]
-            pairwise[:, e, 1, 1] = tab[:, 3]
+        tab = tab.reshape(b, 2, 2)  # rows are the parent's state
+        pairwise[:, e] = tab if p < c else tab.transpose(0, 2, 1)
         d0 = np.logaddexp(ex0, ex1)
         d1 = np.logaddexp(ex0, ex1 + edge_logw[:, e])
         bel0[:, c] += d0
@@ -517,46 +503,46 @@ def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0):
     return h
 
 
-def _sbm_negative_phase(model, theta, lengths, t, rng, mean_field):
-    """T full Gibbs steps started at the data, whose node potentials theta
-    the positive phase has computed.
+def _gibbs_step(model, theta, lengths, h, rng, beta=1.0):
+    """One full Gibbs step at inverse temperature beta, the transition that
+    CD runs at beta = 1 and AIS once per intermediate temperature.
 
-    Each visible sample's potentials are computed once, when it is drawn,
-    and serve both the next hidden sweep and the final statistic. Returns
-    (h_singleton_stat, h_pair_stat, counts): the statistics pairing for the
-    final visible sample, either sampled states (default) or exact
-    posterior expectations (mean_field).
+    A hidden sweep given the node potentials theta of the current visible
+    sample (updating h in place), then a visible sample from
+    softmax(b + beta W^T h). Returns (h, u, theta) with the new sample's
+    counts and node potentials; the edge potentials depend on the lengths
+    only, so callers build them once.
     """
-    lengths_int = lengths.astype(np.int64)
-    h = np.zeros(theta.shape)
-    for _ in range(t):
-        h = _gibbs_hidden_sweep(model, theta, lengths, h, rng)
-        p_vis = _softmax_rows(model.b + h @ model.W)
-        u = rng.multinomial(lengths_int, p_vis).astype(np.float64)
-        theta, edge_logw = _batch_theta(model, u, lengths)
-    if mean_field:
-        singleton, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
-        return singleton, pairwise[:, :, 1, 1], u
-    h = _gibbs_hidden_sweep(model, theta, lengths, h, rng)
-    ej, el = model.structure._edge_ends
-    return h, h[:, ej] * h[:, el], u
+    h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta)
+    p_vis = _softmax_rows(model.b + beta * (h @ model.W))
+    u = rng.multinomial(lengths.astype(np.int64), p_vis).astype(np.float64)
+    return h, u, _batch_theta(model, u, lengths)[0]
 
 
-def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative):
+def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative=False):
     """Batch-averaged CD-T gradients for W, Wt, a, b of a dense count batch.
 
     lengths holds the row sums of counts_matrix. The positive phase uses
-    exact tree posteriors; hidden and tree-coupling gradients carry the
-    per-document length factor. The W gradient is restricted to structure
-    edges.
+    exact tree posteriors; the negative phase runs T Gibbs steps from the
+    data, and its final hidden statistic is a sampled state or, with
+    mean_field_negative, the exact posterior of the final visible sample.
+    Hidden and tree-coupling gradients carry the per-document length factor.
+    The W gradient is restricted to structure edges.
     """
     u = counts_matrix
     n = u.shape[0]
     theta, edge_logw = _batch_theta(model, u, lengths)
     e_h, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
-    h_neg, hh_neg, u_neg = _sbm_negative_phase(
-        model, theta, lengths, t, rng, mean_field_negative
-    )
+    h_neg = np.zeros(theta.shape)
+    for _ in range(t):
+        h_neg, u_neg, theta = _gibbs_step(model, theta, lengths, h_neg, rng)
+    if mean_field_negative:
+        h_neg, pair_neg, _ = tree_sum_product(model.structure, theta, edge_logw)
+        hh_neg = pair_neg[:, :, 1, 1]
+    else:
+        h_neg = _gibbs_hidden_sweep(model, theta, lengths, h_neg, rng)
+        ej, el = model.structure._edge_ends
+        hh_neg = h_neg[:, ej] * h_neg[:, el]
     grad_w = np.where(model.structure.mask(), e_h.T @ u - h_neg.T @ u_neg, 0.0)
     grad_wt = (pairwise[:, :, 1, 1] * lengths[:, None]).sum(axis=0)
     grad_wt -= (hh_neg * lengths[:, None]).sum(axis=0)
@@ -576,22 +562,21 @@ def sbm_cd_gradients(model, batch, t, rng, mean_field_negative=False):
     return cd_gradients(model, u, u.sum(axis=1), t, rng, mean_field_negative)
 
 
-def sbm_cd_step(
-    model: SbmModel,
-    batch,
-    t: int,
-    lr: float,
-    rng: np.random.Generator,
-    mean_field_negative: bool = False,
-    weight_decay: float = 0.0,
-) -> SbmModel:
+def _apply_gradients(model, grads, lr, lr_h):
+    """Gradient ascent in place: W and b at step lr, the length-scaled Wt and
+    a at lr_h; off-structure weights are zeroed again. Returns the model."""
+    model.W += lr * grads["W"]
+    model.Wt += lr_h * grads["Wt"]
+    model.a += lr_h * grads["a"]
+    model.b += lr * grads["b"]
+    return apply_mask(model)
+
+
+def sbm_cd_step(model: SbmModel, batch, t: int, lr: float,
+                rng: np.random.Generator) -> SbmModel:
     """One CD-T update; returns a new model with the mask re-applied."""
-    grads = sbm_cd_gradients(model, batch, t, rng, mean_field_negative)
-    w = model.W + lr * (grads["W"] - weight_decay * model.W)
-    wt = model.Wt + lr * grads["Wt"]
-    a = model.a + lr * grads["a"]
-    b = model.b + lr * grads["b"]
-    return apply_mask(SbmModel(model.structure, w, wt, a, b))
+    grads = sbm_cd_gradients(model, batch, t, rng)
+    return _apply_gradients(model.copy(), grads, lr, lr)
 
 
 def _bias_lr_factor(config: TrainConfig, corpus: Corpus) -> float:
@@ -641,31 +626,17 @@ def sbm_fit(
     if rng is None:
         rng = rng_from(config.seed, _CD_STREAM)
     work = apply_mask(model.copy())
-    params = (work.W, work.Wt, work.a, work.b)
-    velocity = [np.zeros_like(p) for p in params]
     dense = corpus.counts_matrix()
     lr = config.learning_rate
     lr_h = lr * _bias_lr_factor(config, corpus)
-    mom = config.momentum
     for epoch in range(epochs):
         batches = minibatch_indices(
             corpus.n_docs, config.batch_size, config.seed, epoch_offset + epoch
         )
         for idx in batches:
             u = dense[idx]
-            g = cd_gradients(work, u, u.sum(axis=1), config.cd_steps, rng,
-                             config.mean_field_negative)
-            if config.weight_decay:
-                g["W"] -= config.weight_decay * work.W
-            grads = (g["W"], g["Wt"], g["a"], g["b"])
-            for p, v, grad, rate in zip(params, velocity, grads, (lr, lr_h, lr_h, lr)):
-                if mom:
-                    v *= mom
-                    v += rate * grad
-                    p += v
-                else:
-                    p += rate * grad
-            apply_mask(work)
+            grads = cd_gradients(work, u, u.sum(axis=1), config.cd_steps, rng)
+            _apply_gradients(work, grads, lr, lr_h)
     return work
 
 
@@ -678,10 +649,7 @@ def sbm_train(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> S
         )
     if corpus.n_docs == 0:
         raise ValueError("corpus is empty")
-    model = init_sbm_model(corpus, structure, config)
-    if config.epochs == 0:
-        return model
-    return sbm_fit(model, corpus, config)
+    return sbm_fit(init_sbm_model(corpus, structure, config), corpus, config)
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +721,21 @@ def _parse_dims(sections, path, *names):
     return tuple(dims[n] for n in names)
 
 
+def _finite(token: str) -> float:
+    """The float a token spells; ValueError for nan, inf or overflow."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
 def _parse_vector(sections, name, size, path):
     if name not in sections:
         raise FileFormatError(f"{path}: missing [{name}] section")
     values = []
     for line in sections[name]:
         try:
-            values.extend(float(tok) for tok in line.split())
+            values.extend(_finite(tok) for tok in line.split())
         except ValueError:
             raise FileFormatError(f"{path}: bad number in [{name}] line {line!r}") from None
     if len(values) != size:
@@ -779,7 +755,7 @@ def _parse_edges(sections, name, path, weighted):
             if len(weight) != int(weighted):
                 raise ValueError
             edges.append((int(j), int(l)))
-            weights.extend(float(x) for x in weight)
+            weights.extend(_finite(x) for x in weight)
         except ValueError:
             kind = name.split("_")[0]
             raise FileFormatError(f"{path}: malformed {kind} edge {line!r}") from None

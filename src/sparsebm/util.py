@@ -18,6 +18,14 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Refuse a bool, a non-integer, or an integer below minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
 def sigmoid(x):
     """Numerically stable logistic function."""
     return expit(x)

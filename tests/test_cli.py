@@ -330,6 +330,10 @@ class TestPipeline:
         ("split", {"n_train": 320}, "split.n_test"),
         ("split", {"n_train": 320, "n_test": 0}, "split.n_test"),
         ("train", {"batch_size": 0}, "'train'"),
+        ("train_defaults", {"epochs": 2.5}, "epochs"),
+        ("tree_train", {"cd_steps": True}, "'tree_train'"),
+        ("prune", {"target_per_unit": 2.5}, "'prune'"),
+        ("prune", {"prune_fraction": 1.5}, "'prune'"),
     ])
     def test_pipeline_bad_setting_fails_before_stages(self, small_corpus_files,
                                                       tmp_path, capsys, section,
@@ -351,6 +355,10 @@ class TestPipeline:
         ("split", "sed", 1, ["'split'", "'sed'"]),
         ("skeleton", "island", 6, ["'skeleton'", "'island'"]),
         ("train_defaults", "epoch", 3, ["'train_defaults'", "'epoch'"]),
+        ("train", "momentum", 0.9, ["'train'", "'momentum'"]),
+        ("train_defaults", "weight_decay", 0.01, ["'train_defaults'", "'weight_decay'"]),
+        ("tree_train", "mean_field_negative", True,
+         ["'tree_train'", "'mean_field_negative'"]),
         ("prune", "train", {}, ["'prune'", "'train'"]),
         (None, "varients", ["sbm_sfc"], ["top level", "'varients'"]),
         (None, "variants", ["sbm-sfc"], ["variants", "'sbm-sfc'"]),

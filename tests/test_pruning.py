@@ -215,3 +215,9 @@ class TestPruneConfig:
             PruneConfig(target_per_unit=1, prune_fraction=1.5)
         with pytest.raises(ValueError):
             PruneConfig(target_per_unit=1, retrain_epochs_per_iter=0)
+        with pytest.raises(ValueError):
+            PruneConfig(target_per_unit=2.5)
+        with pytest.raises(ValueError):
+            PruneConfig(target_per_unit=True)
+        with pytest.raises(ValueError):
+            PruneConfig(target_per_unit=1, retrain_epochs_per_iter=1.5)

@@ -264,6 +264,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("section, line", [
         ("dims", "F x"), ("W", "0.1 zz 0.3 0.4"), ("b", "1e400x 0 0 0"),
+        ("W", "0.1 nan 0.3 0.4"), ("a", "inf 0 0"), ("b", "1e400 0 0 0"),
     ])
     def test_bad_number_names_file_and_line(self, tmp_path, section, line):
         from sparsebm.errors import FileFormatError

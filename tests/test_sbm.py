@@ -10,7 +10,9 @@ from sparsebm.sbm import (
     SbmStructure,
     _batch_theta,
     _gibbs_hidden_sweep,
+    _softmax_rows,
     apply_mask,
+    cd_gradients,
     init_sbm_model,
     load_sbm_model,
     load_structure,
@@ -323,6 +325,52 @@ class TestCd:
         off = ~model.structure.mask()
         assert np.all(grads["W"][off] == 0.0)
 
+    @pytest.mark.parametrize("tree", [True, False])
+    @pytest.mark.parametrize("mean_field", [False, True])
+    def test_gradients_match_stepwise_reference(self, tree, mean_field):
+        # the negative phase written out step by step (hidden sweep, visible
+        # softmax, multinomial draw, node potentials) from the same stream;
+        # unit 0 branches to 1, 2 and 3 in the tree model
+        rng = np.random.default_rng(19)
+        f, k, t = 5, 6, 3
+        s = SbmStructure(f, k, [(j, j % k) for j in range(f)] + [(0, 5), (2, 4), (4, 0)],
+                         [(0, 1), (0, 2), (0, 3), (3, 4)] if tree else [])
+        model = SbmModel(s, np.where(s.mask(), rng.normal(0, 0.5, (f, k)), 0.0),
+                         rng.normal(0, 0.5, s.n_tree_edges), rng.normal(0, 0.3, f),
+                         rng.normal(0, 0.3, k))
+        counts = rng.integers(0, 4, (7, k)).astype(np.float64)
+        counts[:, 0] += 1.0
+        lengths = counts.sum(axis=1)
+        got = cd_gradients(model, counts, lengths, t, rng_from(0, 13), mean_field)
+
+        ref_rng = rng_from(0, 13)
+        theta, edge_logw = _batch_theta(model, counts, lengths)
+        e_h, pairwise, _ = tree_sum_product(s, theta, edge_logw)
+        h = np.zeros((counts.shape[0], f))
+        for _ in range(t):
+            h = _gibbs_hidden_sweep(model, theta, lengths, h, ref_rng)
+            p_vis = _softmax_rows(model.b + h @ model.W)
+            u = ref_rng.multinomial(lengths.astype(np.int64), p_vis).astype(np.float64)
+            theta, edge_logw = _batch_theta(model, u, lengths)
+        if mean_field:
+            h, pair_neg, _ = tree_sum_product(s, theta, edge_logw)
+            hh = pair_neg[:, :, 1, 1]
+        else:
+            h = _gibbs_hidden_sweep(model, theta, lengths, h, ref_rng)
+            ej, el = s._edge_ends
+            hh = h[:, ej] * h[:, el]
+        n = counts.shape[0]
+        grad_wt = (pairwise[:, :, 1, 1] * lengths[:, None]).sum(axis=0)
+        grad_wt -= (hh * lengths[:, None]).sum(axis=0)
+        expected = {
+            "W": np.where(s.mask(), e_h.T @ counts - h.T @ u, 0.0) / n,
+            "Wt": grad_wt / n,
+            "a": (e_h.T @ lengths - h.T @ lengths) / n,
+            "b": (counts.sum(axis=0) - u.sum(axis=0)) / n,
+        }
+        for name in ("W", "Wt", "a", "b"):
+            assert np.array_equal(got[name], expected[name]), name
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         s = SbmStructure(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)], [(0, 1)])
@@ -416,6 +464,12 @@ class TestTrain:
         assert np.array_equal(model.W, expected.W)
         assert np.all(model.Wt == 0.0)
 
+    @pytest.mark.parametrize("field", ["epochs", "cd_steps", "batch_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_non_integer_setting_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_k_mismatch(self, tiny_corpus):
         s = chain_structure(2, 5)
         with pytest.raises(ValueError, match="does not match"):
@@ -470,6 +524,8 @@ class TestModelSerialization:
     @pytest.mark.parametrize("section, line", [
         ("dims", "F x"), ("visible_edges", "0 1 zz"), ("visible_edges", "0 x 0.5"),
         ("tree_edges", "0 1 zz"), ("tree_edges", "0"), ("a", "0.1 zz 0.3"),
+        ("visible_edges", "0 1 nan"), ("tree_edges", "0 1 inf"),
+        ("a", "0.1 1e400 0.3"), ("b", "nan 0 0 0 0"), ("b", "0 -inf 0 0 0"),
     ])
     def test_bad_number_names_file_and_line(self, tmp_path, section, line):
         path = tmp_path / "m.sbm"
