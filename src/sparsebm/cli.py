@@ -28,7 +28,7 @@ from . import replicated_softmax as rs_mod
 from . import sbm as sbm_mod
 from .errors import SparsebmError
 from .sbm import TrainConfig
-from .util import rng_from
+from .util import check_int, rng_from
 
 _EVAL_STREAM = 61
 
@@ -552,7 +552,14 @@ def cmd_pipeline(args):
         if key not in cfg:
             raise SparsebmError(f"pipeline config is missing {key!r}")
     variants = _check_config_keys(cfg)
-    seed = int(cfg["seed"])
+    split_cfg = cfg.get("split", {})
+    eval_cfg = cfg.get("eval", {})
+    for name, section in (("seed", cfg), ("split.seed", split_cfg), ("eval.seed", eval_cfg)):
+        try:
+            check_int(f"pipeline config {name}", section.get("seed", 0))
+        except ValueError as exc:
+            raise SparsebmError(str(exc)) from None
+    seed = cfg["seed"]
     force = args.force
 
     corpus_cfg = cfg["corpus"]
@@ -560,7 +567,6 @@ def cmd_pipeline(args):
     vocab = Path(corpus_cfg["vocab"])
     if not docword.exists():
         raise SparsebmError(f"corpus file {docword} does not exist")
-    split_cfg = cfg.get("split", {})
     for key in ("n_train", "n_test"):
         if type(split_cfg.get(key)) is not int or split_cfg[key] < 1:
             raise SparsebmError(f"pipeline config needs split.{key}, an integer >= 1")
@@ -585,7 +591,6 @@ def cmd_pipeline(args):
     main_cfg = train_config("train")
     prune_config(1)  # fail before any stage; the default target needs the expanded structure
 
-    eval_cfg = cfg.get("eval", {})
     eval_params = {"seed": eval_cfg.get("seed", seed),
                    "include_multinomial": eval_cfg.get("include_multinomial", False)}
     for key, parse, default in (("schedule", _parse_schedule, "default"),

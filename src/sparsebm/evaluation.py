@@ -11,7 +11,7 @@ from scipy.special import gammaln, logsumexp
 
 from .corpus import Document, dense_counts
 from .errors import FileFormatError
-from .sbm import _batch_theta, _gibbs_step, tree_sum_product
+from .sbm import _batch_theta, _gibbs_step, _multinomial_rows, tree_sum_product
 from .util import log_mean_exp
 
 
@@ -149,10 +149,9 @@ def ais_log_z(
     log_z_base = f * math.log(2.0) + doc_length * float(logsumexp(model.b))
 
     p0 = np.exp(model.b - model.b.max())
-    p0 /= p0.sum()
-    u = rng.multinomial(doc_length, p0, size=runs).astype(np.float64)
-    h = np.zeros((runs, f))
     lengths = np.full(runs, float(doc_length))
+    u = _multinomial_rows(rng, lengths, np.broadcast_to(p0, (runs, p0.size)))
+    h = np.zeros((runs, f))
 
     theta, edge_logw = _batch_theta(model, u, lengths)
     n_edges = edge_logw.shape[1]

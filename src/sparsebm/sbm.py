@@ -477,6 +477,33 @@ def _softmax_rows(logits):
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _multinomial_rows(rng, lengths, p):
+    """One multinomial count vector per row of p: row r of the (B, K) float
+    result holds lengths[r] draws from the distribution p[r].
+
+    Inverse CDF over all rows at once: row r's normalised CDF is offset to
+    [2r, 2r+1], and sum(lengths) uniforms get the same offsets and are
+    sorted, so one searchsorted (which carries its lower bound from key to
+    key) and one bincount place every draw. A key lands on word k only where
+    the CDF rises there, so a zero-probability word is never drawn; a key
+    whose offset sum rounds up to 2r+1 is clamped just below that edge, so
+    every row keeps exactly its own lengths[r] draws.
+    """
+    n_rows, k = p.shape
+    counts = lengths.astype(np.int64)
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    offsets = 2.0 * np.arange(n_rows)
+    cdf += offsets[:, None]
+    row = np.repeat(np.arange(n_rows), counts)
+    keys = rng.random(row.size)
+    keys += offsets[row]
+    np.minimum(keys, np.nextafter(offsets + 1.0, 0.0)[row], out=keys)
+    keys.sort()
+    words = np.searchsorted(cdf.ravel(), keys, side="right")
+    return np.bincount(words, minlength=n_rows * k).reshape(n_rows, k).astype(np.float64)
+
+
 def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0):
     """One Gibbs sweep over the hidden units, updating h in place.
 
@@ -509,13 +536,13 @@ def _gibbs_step(model, theta, lengths, h, rng, beta=1.0):
 
     A hidden sweep given the node potentials theta of the current visible
     sample (updating h in place), then a visible sample from
-    softmax(b + beta W^T h). Returns (h, u, theta) with the new sample's
-    counts and node potentials; the edge potentials depend on the lengths
-    only, so callers build them once.
+    softmax(b + beta W^T h) drawn by _multinomial_rows. Returns (h, u, theta)
+    with the new sample's counts and node potentials; the edge potentials
+    depend on the lengths only, so callers build them once.
     """
     h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta)
     p_vis = _softmax_rows(model.b + beta * (h @ model.W))
-    u = rng.multinomial(lengths.astype(np.int64), p_vis).astype(np.float64)
+    u = _multinomial_rows(rng, lengths, p_vis)
     return h, u, _batch_theta(model, u, lengths)[0]
 
 

@@ -334,13 +334,21 @@ class TestPipeline:
         ("tree_train", {"cd_steps": True}, "'tree_train'"),
         ("prune", {"target_per_unit": 2.5}, "'prune'"),
         ("prune", {"prune_fraction": 1.5}, "'prune'"),
+        (None, {"seed": 2.5}, "config seed"),
+        (None, {"seed": True}, "config seed"),
+        (None, {"seed": "3"}, "config seed"),
+        ("split", {"n_train": 320, "n_test": 80, "seed": 2.5}, "split.seed"),
+        ("eval", {"seed": "3"}, "eval.seed"),
     ])
     def test_pipeline_bad_setting_fails_before_stages(self, small_corpus_files,
                                                       tmp_path, capsys, section,
                                                       values, named):
         _, prefix = small_corpus_files
         config = self.make_config(prefix, tmp_path / "run")
-        config[section] = values
+        if section is None:
+            config.update(values)
+        else:
+            config[section] = values
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(config))
         assert run(["pipeline", "--config", config_path]) == 2

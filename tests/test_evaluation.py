@@ -26,6 +26,7 @@ from sparsebm.sbm import (
     SbmStructure,
     _batch_theta,
     _gibbs_hidden_sweep,
+    _multinomial_rows,
     _softmax_rows,
     tree_sum_product,
 )
@@ -56,10 +57,9 @@ def reference_ais_log_weights(model, doc_length, schedule, runs, rng):
 
     betas = schedule.betas()
     p0 = np.exp(model.b - model.b.max())
-    p0 /= p0.sum()
-    u = rng.multinomial(doc_length, p0, size=runs).astype(np.float64)
-    h = np.zeros((runs, model.n_hidden))
     lengths = np.full(runs, float(doc_length))
+    u = _multinomial_rows(rng, lengths, np.tile(p0, (runs, 1)))
+    h = np.zeros((runs, model.n_hidden))
     log_w = np.zeros(runs)
     lp_prev = log_p_star(u, lengths, betas[0])
     for k in range(1, betas.size):
@@ -68,7 +68,7 @@ def reference_ais_log_weights(model, doc_length, schedule, runs, rng):
             theta = _batch_theta(model, u, lengths)[0]
             h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=betas[k])
             p_vis = _softmax_rows(model.b + betas[k] * (h @ model.W))
-            u = rng.multinomial(np.full(runs, doc_length), p_vis).astype(np.float64)
+            u = _multinomial_rows(rng, lengths, p_vis)
             lp_prev = log_p_star(u, lengths, betas[k])
     return log_w
 

@@ -214,13 +214,19 @@ class TestTrain:
             docs.append(Document(np.nonzero(counts)[0], counts[np.nonzero(counts)[0]]))
         corpus = Corpus([f"w{i}" for i in range(6)], docs)
         holdout = corpus.docs[:10]
-        config = TrainConfig(epochs=30, cd_steps=2, learning_rate=0.05,
-                             batch_size=10, seed=5, weight_init_std=0.05)
-        init = init_rs_model(corpus, 2, config)
-        trained = rs_train(corpus, 2, config)
-        ll_init = sum(exact_log_prob(init, d) for d in holdout)
-        ll_trained = sum(exact_log_prob(trained, d) for d in holdout)
-        assert ll_trained > ll_init
+        gains = []
+        for seed in range(12):
+            config = TrainConfig(epochs=30, cd_steps=2, learning_rate=0.05,
+                                 batch_size=10, seed=seed, weight_init_std=0.05)
+            init = init_rs_model(corpus, 2, config)
+            trained = rs_train(corpus, 2, config)
+            gains.append(sum(exact_log_prob(trained, d) for d in holdout)
+                         - sum(exact_log_prob(init, d) for d in holdout))
+        # one short CD run can lose a little likelihood by chance, so judge
+        # the seeds together; their mean gain is about 5 nats
+        gains = np.array(gains)
+        assert gains.mean() > 2.0, gains
+        assert np.sum(gains > 0) >= 10, gains
 
     def test_log_frequency_bias_init(self, tiny_corpus):
         config = TrainConfig(epochs=0, seed=0, visible_bias_init="log-frequency")

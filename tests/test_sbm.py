@@ -10,6 +10,7 @@ from sparsebm.sbm import (
     SbmStructure,
     _batch_theta,
     _gibbs_hidden_sweep,
+    _multinomial_rows,
     _softmax_rows,
     apply_mask,
     cd_gradients,
@@ -308,6 +309,78 @@ class TestGibbsChainEquilibrium:
         assert time.time() - t0 < 20.0
 
 
+class _EdgeUniforms:
+    """A generator stub whose uniforms alternate between the smallest and
+    the largest value random() can return."""
+
+    def random(self, size):
+        return np.resize([0.0, 1.0 - 2.0**-53], size)
+
+
+class TestMultinomialRows:
+    def test_row_sums_equal_mixed_lengths(self):
+        rng = np.random.default_rng(40)
+        lengths = rng.integers(1, 300, 64).astype(np.float64)
+        lengths[:3] = [1.0, 2.0, 1000.0]
+        p = _softmax_rows(rng.normal(0, 2, (64, 50)))
+        u = _multinomial_rows(rng_from(0, 40), lengths, p)
+        assert u.shape == (64, 50) and u.dtype == np.float64
+        assert np.array_equal(u.sum(axis=1), lengths)
+
+    def test_zero_probability_words_never_drawn(self):
+        rng = np.random.default_rng(41)
+        p = rng.random((200, 8))
+        zero = rng.random((200, 8)) < 0.4
+        zero[:, 0] = zero[:, -1] = True
+        zero[np.arange(200), rng.integers(1, 7, 200)] = False
+        p[zero] = 0.0
+        lengths = rng.integers(1, 60, 200).astype(np.float64)
+        u = _multinomial_rows(rng_from(0, 41), lengths, p)
+        assert np.all(u[zero] == 0.0)
+        assert np.array_equal(u.sum(axis=1), lengths)
+
+    @pytest.mark.parametrize("k", [6, 1000])
+    def test_mean_counts_match_by_chi_square(self, k):
+        # rows alternate between two distributions with mixed lengths; each
+        # group's word totals are multinomial with the group's distribution
+        from scipy.stats import chisquare
+
+        rng = np.random.default_rng(42 + k)
+        dists = _softmax_rows(rng.normal(0, 0.5, (2, k)))
+        dists[1, 2] = 0.0
+        dists[1] /= dists[1].sum()
+        rows = 400
+        group = np.arange(rows) % 2
+        lengths = rng.integers(100, 400, rows).astype(np.float64)
+        u = _multinomial_rows(rng_from(0, 42), lengths, dists[group])
+        for g in (0, 1):
+            totals = u[group == g].sum(axis=0)
+            expected = lengths[group == g].sum() * dists[g]
+            live = expected > 0
+            assert np.all(totals[~live] == 0.0)
+            _, p_value = chisquare(totals[live], expected[live])
+            assert p_value > 1e-3, (g, p_value)
+
+    @pytest.mark.parametrize("p_row", [[0.0, 0.3, 0.0, 0.7, 0.0],
+                                       [0.25, 0.25, 0.25, 0.25, 0.0]])
+    def test_edge_uniforms_stay_in_their_own_row(self, p_row):
+        # at 4096 rows the offsets 2r leave the uniforms about 13 fewer bits,
+        # so 1 - 2^-53 + 2r rounds up to 2r + 1, the row's upper edge
+        rows = 4096
+        lengths = np.resize([1.0, 2.0, 3.0], rows)
+        p = np.tile(p_row, (rows, 1))
+        u = _multinomial_rows(_EdgeUniforms(), lengths, p)
+        assert np.array_equal(u.sum(axis=1), lengths)
+        # the draws take the stub's values in row order: a 0.0 lands on the
+        # row's first live word, a 1 - 2^-53 on its last live word
+        live = np.nonzero(p_row)[0]
+        draw_row = np.repeat(np.arange(rows), lengths.astype(int))
+        n_low = np.bincount(draw_row[::2], minlength=rows)
+        assert np.array_equal(u[:, live[0]], n_low)
+        assert np.array_equal(u[:, live[-1]], lengths - n_low)
+        assert np.all(np.delete(u, live[[0, -1]], axis=1) == 0.0)
+
+
 class TestCd:
     def test_zero_learning_rate_identity(self):
         rng = np.random.default_rng(9)
@@ -350,7 +423,7 @@ class TestCd:
         for _ in range(t):
             h = _gibbs_hidden_sweep(model, theta, lengths, h, ref_rng)
             p_vis = _softmax_rows(model.b + h @ model.W)
-            u = ref_rng.multinomial(lengths.astype(np.int64), p_vis).astype(np.float64)
+            u = _multinomial_rows(ref_rng, lengths, p_vis)
             theta, edge_logw = _batch_theta(model, u, lengths)
         if mean_field:
             h, pair_neg, _ = tree_sum_product(s, theta, edge_logw)
