@@ -7,6 +7,8 @@ splits, and per-epoch minibatch schedules. Word IDs are 1-based on disk and
 """
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,12 @@ from .util import rng_from
 # stream tags so different operations sharing one user seed stay decoupled
 _SPLIT_STREAM = 12
 _SHUFFLE_STREAM = 11
+
+# a docword token as the bulk parser reads it
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_INT64_MAX = np.iinfo(np.int64).max
+# docword rows formatted per write
+_WRITE_ROWS = 1 << 13
 
 
 class Document:
@@ -46,6 +54,14 @@ class Document:
             raise ValueError("duplicate word index in document")
         self.words = words
         self.counts = counts
+
+    @classmethod
+    def _trusted(cls, words, counts) -> "Document":
+        """Wrap int64 arrays already known to be sorted, unique and positive."""
+        doc = cls.__new__(cls)
+        doc.words = words
+        doc.counts = counts
+        return doc
 
     @classmethod
     def from_counts(cls, counts) -> "Document":
@@ -157,8 +173,10 @@ def load_uci_bow(docword_path, vocab_path):
     """Load a UCI docword/vocab file pair.
 
     The docword file carries three header lines (N, K, NNZ) followed by NNZ
-    lines of "docID wordID count" with 1-based IDs. Documents with no tokens
-    are dropped; their number is returned alongside the corpus.
+    lines of "docID wordID count" with 1-based IDs. Blank lines are skipped,
+    repeated (docID, wordID) lines are summed, and documents with no tokens
+    are dropped; their number is returned alongside the corpus. Errors name
+    the offending line, counting every line of the file.
 
     Returns:
         (Corpus, n_dropped)
@@ -190,58 +208,121 @@ def load_uci_bow(docword_path, vocab_path):
             raise StructureError(
                 f"docword K={k} does not match vocab size {len(vocab)}"
             )
-        per_doc = [dict() for _ in range(n_docs)]
-        n_entries = 0
-        for ln, raw in enumerate(fh, start=4):
-            if not raw.strip():
-                continue
-            parts = raw.split()
-            if len(parts) != 3:
-                raise FileFormatError(f"expected 'docID wordID count' at line {ln}")
-            try:
-                doc_id, word_id, count = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FileFormatError(
-                    f"expected 'docID wordID count' at line {ln}"
-                ) from None
-            if not 1 <= doc_id <= n_docs:
-                raise FileFormatError(
-                    f"doc ID {doc_id} exceeds N={n_docs} at line {ln}"
-                )
-            if not 1 <= word_id <= k:
-                raise FileFormatError(f"word ID {word_id} exceeds K={k} at line {ln}")
-            if count <= 0:
-                raise FileFormatError(f"count {count} must be positive at line {ln}")
-            entry = per_doc[doc_id - 1]
-            entry[word_id - 1] = entry.get(word_id - 1, 0) + count
-            n_entries += 1
-        if n_entries != nnz:
-            raise FileFormatError(
-                f"header promises {nnz} entries, file contains {n_entries}"
-            )
+        body_start = fh.tell()
+        rows = _bulk_rows(fh)
+        if rows is None or not (
+            rows.shape[0] == nnz
+            and np.all((rows[:, 0] >= 1) & (rows[:, 0] <= n_docs))
+            and np.all((rows[:, 1] >= 1) & (rows[:, 1] <= k))
+            and np.all(rows[:, 2] >= 1)
+        ):
+            fh.seek(body_start)
+            raise _body_error(fh, n_docs, k, nnz)
+    _check_unique_vocab(vocab, vocab_path)
 
-    docs = []
-    dropped = 0
-    for entry in per_doc:
-        if entry:
-            docs.append(Document.from_counts(entry))
-        else:
-            dropped += 1
-    name = str(docword_path)
-    return Corpus(vocab, docs, name=name), dropped
+    # sum repeated (doc, word) lines, then cut the sorted rows into documents
+    key = (rows[:, 0] - 1) * k + (rows[:, 1] - 1)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.add.reduceat(rows[order, 2], starts)
+    doc, word = np.divmod(key[starts], k)
+    if rows.size and rows[:, 2].max() > _INT64_MAX // rows.shape[0]:
+        # only counts this large can sum past 64 bits, where int64 wraps
+        exact = np.add.reduceat(rows[order, 2].astype(object), starts)
+        big = int(np.argmax(exact))
+        if exact[big] > _INT64_MAX:
+            raise FileFormatError(
+                f"summed count of doc ID {doc[big] + 1} word ID {word[big] + 1}"
+                " exceeds 64 bits"
+            )
+    bounds = np.searchsorted(doc, np.arange(n_docs + 1)).tolist()
+    # copies, not views: a document kept on its own must not keep the whole
+    # file's arrays alive
+    docs = [
+        Document._trusted(word[a:b].copy(), count[a:b].copy())
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b > a
+    ]
+    return Corpus(vocab, docs, name=str(docword_path)), n_docs - len(docs)
+
+
+def _bulk_rows(fh):
+    """The rest of the docword file as an (n, 3) int64 array of (docID,
+    wordID, count) rows, blank lines skipped; None where a line does not
+    read as three integers."""
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads "3.0" as an integer with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            # a body of blank lines only is no error here
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    if rows.shape[0] == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    return rows if rows.shape[1] == 3 else None
+
+
+def _body_error(lines, n_docs: int, k: int, nnz: int) -> FileFormatError:
+    """Word the error of a docword body that failed a bulk check: walk its
+    lines (the first is line 4 of the file) to the first bad one, else
+    report the entry count.
+
+    A token is an optionally signed run of ASCII digits, as the bulk parser
+    reads it. The parser also refuses values outside 64 bits; of those only
+    a count can pass the range checks, so counts get one more check.
+    """
+    n_entries = 0
+    for ln, raw in enumerate(lines, start=4):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 3 or not all(map(_INT_TOKEN.fullmatch, parts)):
+            return FileFormatError(f"expected 'docID wordID count' at line {ln}")
+        doc_id, word_id, count = map(int, parts)
+        if not 1 <= doc_id <= n_docs:
+            return FileFormatError(f"doc ID {doc_id} exceeds N={n_docs} at line {ln}")
+        if not 1 <= word_id <= k:
+            return FileFormatError(f"word ID {word_id} exceeds K={k} at line {ln}")
+        if count <= 0:
+            return FileFormatError(f"count {count} must be positive at line {ln}")
+        if count > _INT64_MAX:
+            return FileFormatError(f"count {count} exceeds 64 bits at line {ln}")
+        n_entries += 1
+    return FileFormatError(f"header promises {nnz} entries, file contains {n_entries}")
+
+
+def _check_unique_vocab(vocab, vocab_path) -> None:
+    first_line = {}
+    for ln, word in enumerate(vocab, start=1):
+        first = first_line.setdefault(word, ln)
+        if first != ln:
+            raise StructureError(
+                f"{vocab_path}: vocabulary word {word!r} at line {ln}"
+                f" repeats line {first}"
+            )
 
 
 def save_uci_bow(corpus: Corpus, docword_path, vocab_path) -> None:
     """Write a corpus back out as a UCI docword/vocab pair (1-based IDs)."""
     with open(vocab_path, "w", encoding="utf-8") as fh:
-        for word in corpus.vocab:
-            fh.write(word + "\n")
-    nnz = sum(d.words.size for d in corpus.docs)
+        fh.write("".join(word + "\n" for word in corpus.vocab))
+    docs = corpus.docs
+    sizes = [d.words.size for d in docs]
+    nnz = sum(sizes)
     with open(docword_path, "w", encoding="utf-8") as fh:
         fh.write(f"{corpus.n_docs}\n{corpus.n_words}\n{nnz}\n")
-        for i, d in enumerate(corpus.docs, start=1):
-            for w, c in zip(d.words, d.counts):
-                fh.write(f"{i} {int(w) + 1} {int(c)}\n")
+        if not nnz:
+            return
+        rows = np.empty((nnz, 3), dtype=np.int64)
+        rows[:, 0] = np.repeat(np.arange(1, len(docs) + 1), sizes)
+        rows[:, 1] = np.concatenate([d.words for d in docs]) + 1
+        rows[:, 2] = np.concatenate([d.counts for d in docs])
+        for start in range(0, nnz, _WRITE_ROWS):
+            block = rows[start : start + _WRITE_ROWS]
+            fh.write("%d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def select_vocab(corpus: Corpus, k: int, method: str = "frequency") -> Corpus:

@@ -11,7 +11,7 @@ from scipy.special import gammaln, logsumexp
 
 from .corpus import Document, dense_counts
 from .errors import FileFormatError
-from .sbm import _batch_theta, _gibbs_step, _multinomial_rows, tree_sum_product
+from .sbm import _batch_theta, _chain, _gibbs_step, _multinomial_rows, tree_sum_product
 from .util import log_mean_exp
 
 
@@ -150,7 +150,8 @@ def ais_log_z(
 
     p0 = np.exp(model.b - model.b.max())
     lengths = np.full(runs, float(doc_length))
-    u = _multinomial_rows(rng, lengths, np.broadcast_to(p0, (runs, p0.size)))
+    chain = _chain(model, lengths)
+    u = _multinomial_rows(rng, lengths, np.broadcast_to(p0, (runs, p0.size)), chain.draw)
     h = np.zeros((runs, f))
 
     theta, edge_logw = _batch_theta(model, u, lengths)
@@ -170,7 +171,7 @@ def ais_log_z(
         lp_here = ub + logz_h[runs:]
         log_w += lp_here - lp_prev
         if k < betas.size - 1:
-            h, u, theta = _gibbs_step(model, theta, lengths, h, rng, betas[k])
+            h, u, theta = _gibbs_step(model, chain, theta, h, rng, betas[k])
             ub = u @ model.b
     return AisEstimate(
         log_z_mean=log_z_base + log_mean_exp(log_w),

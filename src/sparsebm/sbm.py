@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -477,7 +478,15 @@ def _softmax_rows(logits):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _multinomial_rows(rng, lengths, p):
+def _multinomial_plan(lengths):
+    """The constants of _multinomial_rows that depend on the row lengths
+    only: the row offsets, and each key's offset and upper edge."""
+    offsets = 2.0 * np.arange(lengths.size)
+    row = np.repeat(np.arange(lengths.size), lengths.astype(np.int64))
+    return offsets, offsets[row], np.nextafter(offsets + 1.0, 0.0)[row]
+
+
+def _multinomial_rows(rng, lengths, p, plan=None):
     """One multinomial count vector per row of p: row r of the (B, K) float
     result holds lengths[r] draws from the distribution p[r].
 
@@ -487,24 +496,36 @@ def _multinomial_rows(rng, lengths, p):
     key) and one bincount place every draw. A key lands on word k only where
     the CDF rises there, so a zero-probability word is never drawn; a key
     whose offset sum rounds up to 2r+1 is clamped just below that edge, so
-    every row keeps exactly its own lengths[r] draws.
+    every row keeps exactly its own lengths[r] draws. plan is
+    _multinomial_plan(lengths), built here when not given.
     """
     n_rows, k = p.shape
-    counts = lengths.astype(np.int64)
+    offsets, key_offsets, key_upper = plan or _multinomial_plan(lengths)
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
-    offsets = 2.0 * np.arange(n_rows)
     cdf += offsets[:, None]
-    row = np.repeat(np.arange(n_rows), counts)
-    keys = rng.random(row.size)
-    keys += offsets[row]
-    np.minimum(keys, np.nextafter(offsets + 1.0, 0.0)[row], out=keys)
+    keys = rng.random(key_offsets.size)
+    keys += key_offsets
+    np.minimum(keys, key_upper, out=keys)
     keys.sort()
     words = np.searchsorted(cdf.ravel(), keys, side="right")
     return np.bincount(words, minlength=n_rows * k).reshape(n_rows, k).astype(np.float64)
 
 
-def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0):
+def _coupling_columns(model):
+    """For each colour of the block sweep, the columns of the symmetric
+    (F, F) tree-coupling matrix at its units; None without tree edges."""
+    structure = model.structure
+    if not structure.n_tree_edges:
+        return None
+    ej, el = structure._edge_ends
+    coupling = np.zeros((model.n_hidden, model.n_hidden))
+    coupling[ej, el] = model.Wt
+    coupling[el, ej] = model.Wt
+    return [coupling[:, units] for units in structure._bp_plan()[3]]
+
+
+def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0, columns=None):
     """One Gibbs sweep over the hidden units, updating h in place.
 
     theta holds the node potentials of the current visible sample, as
@@ -513,37 +534,52 @@ def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0):
     independent given the other colour, and each colour is drawn exactly in
     one vectorised step (chromatic Gibbs): even depths first, units
     ascending within a colour. A model without tree edges has a single
-    colour, so its sweep is one factorised draw of all units.
+    colour, so its sweep is one factorised draw of all units. columns is
+    _coupling_columns(model), built here when not given.
     """
-    structure = model.structure
-    if structure.n_tree_edges:
-        ej, el = structure._edge_ends
-        coupling = np.zeros((model.n_hidden, model.n_hidden))
-        coupling[ej, el] = model.Wt
-        coupling[el, ej] = model.Wt
-    for units in structure._bp_plan()[3]:
+    if columns is None:
+        columns = _coupling_columns(model)
+    for c, units in enumerate(model.structure._bp_plan()[3]):
         unit_act = theta[:, units]  # an index array, so this is a copy
-        if structure.n_tree_edges:
-            unit_act += lengths[:, None] * (h @ coupling[:, units])
+        if columns is not None:
+            unit_act += lengths[:, None] * (h @ columns[c])
         p = sigmoid(beta * unit_act)
         h[:, units] = rng.random(p.shape) < p
     return h
 
 
-def _gibbs_step(model, theta, lengths, h, rng, beta=1.0):
+class _Chain(NamedTuple):
+    """What a Gibbs chain over fixed parameters and document lengths reuses
+    at every step: the lengths, the sweep's coupling columns, the lengths
+    times the hidden biases, and the multinomial draw's plan."""
+
+    lengths: np.ndarray
+    columns: list | None
+    length_a: np.ndarray
+    draw: tuple
+
+
+def _chain(model, lengths) -> _Chain:
+    return _Chain(lengths, _coupling_columns(model), lengths[:, None] * model.a,
+                  _multinomial_plan(lengths))
+
+
+def _gibbs_step(model, chain, theta, h, rng, beta=1.0):
     """One full Gibbs step at inverse temperature beta, the transition that
     CD runs at beta = 1 and AIS once per intermediate temperature.
 
     A hidden sweep given the node potentials theta of the current visible
     sample (updating h in place), then a visible sample from
-    softmax(b + beta W^T h) drawn by _multinomial_rows. Returns (h, u, theta)
-    with the new sample's counts and node potentials; the edge potentials
-    depend on the lengths only, so callers build them once.
+    softmax(b + beta W^T h) drawn by _multinomial_rows. chain is
+    _chain(model, lengths) for the rows' document lengths. Returns
+    (h, u, theta) with the new sample's counts and node potentials, the
+    theta of _batch_theta; the edge potentials depend on the lengths only,
+    so callers build them once.
     """
-    h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta)
+    h = _gibbs_hidden_sweep(model, theta, chain.lengths, h, rng, beta, chain.columns)
     p_vis = _softmax_rows(model.b + beta * (h @ model.W))
-    u = _multinomial_rows(rng, lengths, p_vis)
-    return h, u, _batch_theta(model, u, lengths)[0]
+    u = _multinomial_rows(rng, chain.lengths, p_vis, chain.draw)
+    return h, u, u @ model.W.T + chain.length_a
 
 
 def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative=False):
@@ -560,14 +596,16 @@ def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative=Fals
     n = u.shape[0]
     theta, edge_logw = _batch_theta(model, u, lengths)
     e_h, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
+    chain = _chain(model, lengths)
     h_neg = np.zeros(theta.shape)
     for _ in range(t):
-        h_neg, u_neg, theta = _gibbs_step(model, theta, lengths, h_neg, rng)
+        h_neg, u_neg, theta = _gibbs_step(model, chain, theta, h_neg, rng)
     if mean_field_negative:
         h_neg, pair_neg, _ = tree_sum_product(model.structure, theta, edge_logw)
         hh_neg = pair_neg[:, :, 1, 1]
     else:
-        h_neg = _gibbs_hidden_sweep(model, theta, lengths, h_neg, rng)
+        h_neg = _gibbs_hidden_sweep(model, theta, lengths, h_neg, rng,
+                                    columns=chain.columns)
         ej, el = model.structure._edge_ends
         hh_neg = h_neg[:, ej] * h_neg[:, el]
     grad_w = np.where(model.structure.mask(), e_h.T @ u - h_neg.T @ u_neg, 0.0)

@@ -124,17 +124,23 @@ def _greedy_groups(mi: np.ndarray, max_size: int, floor: float):
         return [[v] for v in range(k)]
     unassigned = np.ones(k, dtype=bool)
     groups = []
+    # mi over pairs of distinct unassigned words, -inf elsewhere
+    work = mi.astype(np.float64)
+    np.fill_diagonal(work, -np.inf)
+
+    def assign(v):
+        unassigned[v] = False
+        work[v, :] = -np.inf
+        work[:, v] = -np.inf
+
     while unassigned.sum() >= 2:
-        work = np.where(
-            unassigned[:, None] & unassigned[None, :], mi, -np.inf
-        )
-        np.fill_diagonal(work, -np.inf)
         flat = int(np.argmax(work))
         i, j = divmod(flat, k)
         if work[i, j] <= floor:
             break
         group = [min(i, j), max(i, j)]
-        unassigned[i] = unassigned[j] = False
+        assign(i)
+        assign(j)
         while len(group) < max_size:
             cand = np.nonzero(unassigned)[0]
             if cand.size == 0:
@@ -143,9 +149,8 @@ def _greedy_groups(mi: np.ndarray, max_size: int, floor: float):
             best = int(np.argmax(avg))
             if avg[best] <= floor:
                 break
-            member = int(cand[best])
-            group.append(member)
-            unassigned[member] = False
+            group.append(int(cand[best]))
+            assign(group[-1])
         groups.append(sorted(group))
     for v in np.nonzero(unassigned)[0]:
         groups.append([int(v)])
@@ -273,10 +278,13 @@ def load_skeleton(path, n_visible: int) -> Skeleton:
                 in_tree = True
                 continue
             if in_tree:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise FileFormatError(f"{path}: malformed tree edge at line {ln}")
-                tree.append((int(parts[0]), int(parts[1])))
+                try:
+                    j, l = map(int, line.split())
+                except ValueError:
+                    raise FileFormatError(
+                        f"{path}: malformed tree edge at line {ln}"
+                    ) from None
+                tree.append((j, l))
             else:
                 if ":" not in line:
                     raise FileFormatError(

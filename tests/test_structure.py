@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from sparsebm.corpus import Corpus, Document
-from sparsebm.errors import StructureError
+from sparsebm.errors import FileFormatError, StructureError
 from sparsebm.replicated_softmax import TrainConfig
 from sparsebm.sbm import SbmModel, SbmStructure, sbm_train
 from sparsebm.structure import (
     Skeleton,
+    _greedy_groups,
     build_cmi_table,
     build_skeleton,
     cmi_from_joint,
@@ -119,6 +120,50 @@ class TestBuildSkeleton:
             build_skeleton(corpus)
 
 
+def rebuilt_mask_greedy_groups(mi, max_size, floor):
+    """The grouping rule with the unassigned-pair matrix rebuilt for every
+    group, as a reference for the incrementally masked version."""
+    k = mi.shape[0]
+    unassigned = np.ones(k, dtype=bool)
+    groups = []
+    while unassigned.sum() >= 2:
+        work = np.where(unassigned[:, None] & unassigned[None, :], mi, -np.inf)
+        np.fill_diagonal(work, -np.inf)
+        i, j = divmod(int(np.argmax(work)), k)
+        if work[i, j] <= floor:
+            break
+        group = [min(i, j), max(i, j)]
+        unassigned[i] = unassigned[j] = False
+        while len(group) < max_size:
+            cand = np.nonzero(unassigned)[0]
+            if cand.size == 0:
+                break
+            avg = mi[np.ix_(cand, group)].mean(axis=1)
+            best = int(np.argmax(avg))
+            if avg[best] <= floor:
+                break
+            group.append(int(cand[best]))
+            unassigned[group[-1]] = False
+        groups.append(sorted(group))
+    return groups + [[int(v)] for v in np.nonzero(unassigned)[0]]
+
+
+class TestGreedyGroups:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_size", [2, 3, 7])
+    @pytest.mark.parametrize("floor", [0.0, 0.1, 0.25])
+    def test_matches_rebuilt_mask_reference(self, seed, max_size, floor):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 60))
+        # few distinct values, so seeds and growth steps meet many ties
+        mi = rng.integers(0, 5, (k, k)) * 0.1
+        mi = np.triu(mi, 1)
+        mi = mi + mi.T
+        expected = rebuilt_mask_greedy_groups(mi, max_size, floor)
+        assert _greedy_groups(mi, max_size, floor) == expected
+        assert sorted(v for g in expected for v in g) == list(range(k))
+
+
 class TestSkeletonIo:
     def test_round_trip(self, tmp_path):
         skeleton = Skeleton(groups=[[0, 1, 2], [3, 4, 5, 6]], tree_edges=[(0, 1)])
@@ -152,6 +197,14 @@ class TestSkeletonIo:
         path.write_text("0: 0\n1: 1\n2: 2\n[tree]\n0 1\n1 2\n0 2\n")
         with pytest.raises(StructureError, match="not a forest"):
             load_skeleton(path, 3)
+
+    @pytest.mark.parametrize("edge", ["0 x", "0 1.0", "0 1 2", "0"])
+    def test_malformed_tree_edge_names_file_and_line(self, tmp_path, edge):
+        path = tmp_path / "s.txt"
+        path.write_text(f"0: 0\n1: 1\n\n[tree]\n{edge}\n")
+        with pytest.raises(FileFormatError) as err:
+            load_skeleton(path, 2)
+        assert str(err.value) == f"{path}: malformed tree edge at line 5"
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "s.txt"
