@@ -514,8 +514,9 @@ _CONFIG_KEYS = {
 
 
 def _check_config_keys(cfg):
-    """Refuse a key no step reads and a variant name no stage builds, so a
-    typo fails before any stage runs instead of falling back to a default."""
+    """Refuse a key no step reads, a variant name no stage builds and an
+    expand section that sets both its sizes, so a typo or a conflict fails
+    before any stage runs instead of falling back to a default."""
 
     def check(where, keys, known):
         unknown = sorted(set(keys) - set(known))
@@ -531,6 +532,11 @@ def _check_config_keys(cfg):
         if not isinstance(values, dict):
             raise SparsebmError(f"pipeline config section {section!r} must be an object")
         check(f"section {section!r}", values, known)
+    if {"add", "fraction"} <= set(cfg.get("expand", {})):
+        raise SparsebmError(
+            "pipeline config section 'expand' sets both 'add' and 'fraction';"
+            " set one of them"
+        )
     variants = cfg.get("variants", list(_VARIANTS))
     if not isinstance(variants, list):
         raise SparsebmError("pipeline config variants must be a list")
@@ -734,10 +740,11 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--skeleton", required=True)
     p.add_argument("--tree-model", required=True)
-    p.add_argument("--fraction", type=float, default=0.2,
-                   help="target per-unit degree as a fraction of K")
-    p.add_argument("--add", type=int, default=None,
-                   help="fixed number of new connections per unit")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--fraction", type=float, default=0.2,
+                      help="target per-unit degree as a fraction of K")
+    size.add_argument("--add", type=int, default=None,
+                      help="fixed number of new connections per unit")
     p.add_argument("--cmi-out", default=None, help="write the CMI table as TSV")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_expand)
@@ -745,8 +752,9 @@ def build_parser():
     p = sub.add_parser("prune", help="magnitude-prune and retrain an RS model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--target", type=int, default=None)
-    p.add_argument("--target-fraction", type=float, default=0.2)
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--target", type=int, default=None)
+    target.add_argument("--target-fraction", type=float, default=0.2)
     p.add_argument("--prune-fraction", type=float, default=0.2)
     p.add_argument("--retrain-epochs", type=int, default=1)
     _add_train_flags(p)

@@ -220,14 +220,9 @@ class SbmStructure:
 
     # -- message-passing plan ---------------------------------------------
 
-    def _bp_plan(self):
-        """Traversal orders for sum-product plus the colour classes of the
-        block Gibbs sweep, cached per structure.
-
-        Returns (is_root, up_steps, down_steps, colours). is_root flags one
-        root per tree; colours holds the units of even and of odd BFS depth,
-        each ascending, and a tree edge always joins the two classes.
-        """
+    def _bp_plan(self) -> "_BpPlan":
+        """Traversal order for sum-product plus the colour classes of the
+        block Gibbs sweep, cached per structure."""
         if self._plan is not None:
             return self._plan
         depth = [-1] * self.n_hidden
@@ -243,12 +238,27 @@ class SbmStructure:
                         depth[other] = depth[node] + 1
                         down_steps.append((node, other, e))
                         queue.append(other)
-        up_steps = [(c, p, e) for (p, c, e) in reversed(down_steps)]
+        edge_parent = np.empty(self.n_tree_edges, dtype=np.int64)
+        edge_child = np.empty(self.n_tree_edges, dtype=np.int64)
+        for p, c, e in down_steps:
+            edge_parent[e], edge_child[e] = p, c
         depth = np.array(depth)
         colours = [units for units in (np.flatnonzero(depth % 2 == 0),
                                        np.flatnonzero(depth % 2 == 1)) if units.size]
-        self._plan = (depth == 0, up_steps, down_steps, colours)
+        self._plan = _BpPlan(down_steps, edge_parent, edge_child, colours)
         return self._plan
+
+
+class _BpPlan(NamedTuple):
+    """down_steps lists (parent, child, edge) in BFS order from one root
+    per tree; edge_parent and edge_child orient each canonical edge the
+    same way; colours holds the units of even and of odd BFS depth, each
+    ascending, and a tree edge always joins the two classes."""
+
+    down_steps: list
+    edge_parent: np.ndarray
+    edge_child: np.ndarray
+    colours: list
 
 
 class SbmModel:
@@ -384,6 +394,39 @@ def sbm_gibbs_hidden_conditional(model: SbmModel, doc: Document, h, j: int) -> f
 # batched sum-product on the hidden forest
 
 
+def _softplus(x, out, tmp):
+    """log(1 + e^x) into out, with tmp as work space. max(x, 0) +
+    log1p(exp(-|x|)) never overflows and, unlike np.logaddexp, runs numpy's
+    vectorised exp and log1p."""
+    np.abs(x, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.log1p(tmp, out=tmp)
+    np.maximum(x, 0.0, out=out)
+    out += tmp
+    return out
+
+
+def _softplus_gap(pair, w, tmp, out):
+    """out = softplus(x + w) - softplus(x) for x = pair[0], using pair and
+    tmp, both (2, B), as work space."""
+    np.add(pair[0], w, out=pair[1])
+    _softplus(pair, pair, tmp)
+    return np.subtract(pair[1], pair[0], out=out)
+
+
+def _sigmoid_pair(x):
+    """(sigmoid(x), sigmoid(-x)) as 1 / (1 + e^-x) and 1 / (1 + e^x), each
+    with its own exp, so neither is a difference; an exp that overflows
+    gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        pair = np.exp(np.negative(x)), np.exp(x)
+    for s in pair:
+        s += 1.0
+        np.reciprocal(s, out=s)
+    return pair
+
+
 def tree_sum_product(
     structure: SbmStructure,
     theta: np.ndarray,
@@ -397,56 +440,64 @@ def tree_sum_product(
 
     Returns (singleton, pairwise, logz) where singleton is (B, F), pairwise
     (B, E, 2, 2) indexed by the canonical (lower, higher) edge endpoints, and
-    logz (B,). Entries not requested come back as None.
+    logz (B,). Entries not requested come back as None. pairwise is a view
+    of an edge-major (E, 2, 2, B) array.
+
+    Messages are log-odds, on unit-major (F, B) rows. Going up, delta_j is
+    the log-odds of h_j given its subtree alone, and a child c sends its
+    parent softplus(delta_c + w) - softplus(delta_c); log Z is the sum of
+    softplus(delta_j) over all units. Going down, beta_j is the posterior
+    log-odds of h_j. A pairwise table is the product of the parent's
+    marginal and the child's conditional, e.g. P(h_p = 1, h_c = 1) =
+    sigmoid(beta_p) sigmoid(delta_c + w), so tiny entries keep their
+    relative precision.
     """
     b, f = theta.shape
     n_edges = structure.n_tree_edges
-    is_root, up_steps, down_steps, _ = structure._bp_plan()
+    if not n_edges:
+        singleton = sigmoid(theta) if want_marginals else None
+        pairwise = np.empty((b, 0, 2, 2)) if want_marginals else None
+        return singleton, pairwise, np.logaddexp(0.0, theta).sum(axis=1)
+    plan = structure._bp_plan()
 
-    u0 = np.zeros((b, f))
-    u1 = theta.copy()
+    delta = np.array(theta.T, order="C")
+    w = np.ascontiguousarray(edge_logw.T)
+    msg = np.empty((n_edges, b))
+    pair = np.empty((2, b))
+    tmp = np.empty((2, b))
+    for p, c, e in reversed(plan.down_steps):
+        pair[0] = delta[c]
+        delta[p] += _softplus_gap(pair, w[e], tmp, msg[e])
 
-    up0 = np.empty((b, n_edges)) if n_edges else None
-    up1 = np.empty((b, n_edges)) if n_edges else None
-    for c, p, e in up_steps:
-        m0 = np.logaddexp(u0[:, c], u1[:, c])
-        m1 = np.logaddexp(u0[:, c], u1[:, c] + edge_logw[:, e])
-        up0[:, e] = m0
-        up1[:, e] = m1
-        u0[:, p] += m0
-        u1[:, p] += m1
-
-    # one log-partition term per tree, at its root; summing a C-ordered
-    # (B, F) array keeps the reduction order of a plain row sum
-    logz = np.logaddexp(u0, u1, where=is_root, out=np.zeros((b, f))).sum(axis=1)
-
+    # a contiguous per-row sum, so a row's log Z never depends on the rows
+    # batched with it
+    sp = _softplus(delta, np.empty_like(delta), np.empty_like(delta))
+    logz = np.ascontiguousarray(sp.T).sum(axis=1)
     if not want_marginals:
         return None, None, logz
 
-    bel0 = u0.copy()
-    bel1 = u1.copy()
-    pairwise = np.empty((b, n_edges, 2, 2))
-    for p, c, e in down_steps:
-        ex0 = bel0[:, p] - up0[:, e]
-        ex1 = bel1[:, p] - up1[:, e]
-        # joint over (parent, child) before orientation
-        t00 = ex0 + u0[:, c]
-        t01 = ex0 + u1[:, c]
-        t10 = ex1 + u0[:, c]
-        t11 = ex1 + u1[:, c] + edge_logw[:, e]
-        stack = np.stack([t00, t01, t10, t11], axis=1)
-        stack -= stack.max(axis=1, keepdims=True)
-        tab = np.exp(stack)
-        tab /= tab.sum(axis=1, keepdims=True)
-        tab = tab.reshape(b, 2, 2)  # rows are the parent's state
-        pairwise[:, e] = tab if p < c else tab.transpose(0, 2, 1)
-        d0 = np.logaddexp(ex0, ex1)
-        d1 = np.logaddexp(ex0, ex1 + edge_logw[:, e])
-        bel0[:, c] += d0
-        bel1[:, c] += d1
+    beta = delta.copy()
+    for p, c, e in plan.down_steps:
+        np.subtract(beta[p], msg[e], out=pair[0])
+        beta[c] += _softplus_gap(pair, w[e], tmp, tmp[0])
+    on, off = _sigmoid_pair(beta)
+    singleton = np.ascontiguousarray(on.T)
 
-    singleton = sigmoid(bel1 - bel0)
-    return singleton, pairwise, logz
+    parent, child = plan.edge_parent, plan.edge_child
+    x = np.empty((2, n_edges, b))  # the child's log-odds given h_p = 0, 1
+    np.take(delta, child, axis=0, out=x[0])
+    np.add(x[0], w, out=x[1])
+    c_on, c_off = _sigmoid_pair(x)
+    p_on, p_off = on[parent], off[parent]
+    # tab[e, h_p, h_c]: rows are the parent's state
+    tab = np.empty((n_edges, 2, 2, b))
+    np.multiply(p_off, c_off[0], out=tab[:, 0, 0])
+    np.multiply(p_off, c_on[0], out=tab[:, 0, 1])
+    np.multiply(p_on, c_off[1], out=tab[:, 1, 0])
+    np.multiply(p_on, c_on[1], out=tab[:, 1, 1])
+    flip = np.flatnonzero(parent > child)
+    tab[flip] = tab[flip].transpose(0, 2, 1, 3)
+    return singleton, tab.transpose(3, 0, 1, 2), logz
 
 
 def _batch_theta(model: SbmModel, counts_matrix: np.ndarray, lengths: np.ndarray):
@@ -522,7 +573,7 @@ def _coupling_columns(model):
     coupling = np.zeros((model.n_hidden, model.n_hidden))
     coupling[ej, el] = model.Wt
     coupling[el, ej] = model.Wt
-    return [coupling[:, units] for units in structure._bp_plan()[3]]
+    return [coupling[:, units] for units in structure._bp_plan().colours]
 
 
 def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0, columns=None):
@@ -539,7 +590,7 @@ def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0, columns=None):
     """
     if columns is None:
         columns = _coupling_columns(model)
-    for c, units in enumerate(model.structure._bp_plan()[3]):
+    for c, units in enumerate(model.structure._bp_plan().colours):
         unit_act = theta[:, units]  # an index array, so this is a copy
         if columns is not None:
             unit_act += lengths[:, None] * (h @ columns[c])

@@ -378,7 +378,9 @@ def _pair_joints(model: SbmModel, counts: np.ndarray, conditioners):
     axes (j, h_j, h_jp, doc). The posterior is Markov on the tree, so inside
     jp's tree the joint chains the edge conditionals P(h_y | h_x) =
     pairwise / marginal outward from jp; units in other trees are
-    independent of jp, their joint the product of the two marginals.
+    independent of jp, their joint the product of the two marginals. The
+    one joint buffer is refilled for each conditioner: use it before the
+    next.
     """
     structure = model.structure
     theta, edge_logw = _batch_theta(model, counts, counts.sum(axis=1))
@@ -393,16 +395,21 @@ def _pair_joints(model: SbmModel, counts: np.ndarray, conditioners):
             mass = tab.sum(axis=1, keepdims=True)
             cond[x, y] = np.divide(tab, mass, out=np.zeros_like(tab), where=mass > 0)
     eye = np.eye(2)[:, :, None]
+    joint = np.empty((structure.n_hidden, 2, 2, counts.shape[0]))
+    term = np.empty(joint.shape[1:])
     for jp in conditioners:
-        joint = marginal[:, :, None, :] * marginal[jp][None, None, :, :]
+        outside = np.flatnonzero(structure.component != structure.component[jp])
+        if outside.size:
+            joint[outside] = marginal[outside, :, None, :] * marginal[jp][None, None, :, :]
         joint[jp] = eye * marginal[jp][:, None, :]
         walk = [(jp, -1)]
         for x, parent in walk:
             for y, _ in structure.neighbors(x):
                 if y != parent:
                     c = cond[x, y]
-                    joint[y] = (c[0, :, None] * joint[x, 0, None]
-                                + c[1, :, None] * joint[x, 1, None])
+                    np.multiply(c[0, :, None], joint[x, 0, None], out=joint[y])
+                    np.multiply(c[1, :, None], joint[x, 1, None], out=term)
+                    joint[y] += term
                     walk.append((y, x))
         yield jp, joint
 
@@ -435,16 +442,16 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
         absent = 1.0 - present
         for jp, joint in _pair_joints(tree_model, dense[chunk], range(f)):
             members = structure.visible_indices(jp)
-            flat = joint.reshape(4 * f, -1)
-            acc[:, :, 0, members] += (flat @ absent[:, members]).reshape(f, 4, -1)
-            acc[:, :, 1, members] += (flat @ present[:, members]).reshape(f, 4, -1)
+            # one product for the absent and the present columns
+            both = np.concatenate([absent[:, members], present[:, members]], axis=1)
+            acc[:, :, :, members] += (joint.reshape(4 * f, -1) @ both).reshape(f, 4, 2, -1)
 
     score = _cmi(acc.reshape(f, 2, 2, 2, k).transpose(0, 4, 1, 2, 3))
     scores = []
     for j in range(f):
         words = np.flatnonzero(owner != j)
-        order = np.lexsort((words, -score[j, words]))
-        scores.append([(int(v), float(score[j, v])) for v in words[order]])
+        ranked = words[np.lexsort((words, -score[j, words]))]
+        scores.append(list(zip(ranked.tolist(), score[j, ranked].tolist())))
     return CmiTable(scores=scores)
 
 

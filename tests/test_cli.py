@@ -66,6 +66,30 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert flag in err and value in err
 
+    @pytest.mark.parametrize("command, first, second", [
+        (["expand", "--corpus", "c", "--skeleton", "s", "--tree-model", "t"],
+         ["--add", "3"], ["--fraction", "0.2"]),
+        (["prune", "--corpus", "c", "--model", "m"],
+         ["--target", "3"], ["--target-fraction", "0.2"]),
+    ])
+    def test_exclusive_size_flags_are_usage_error_naming_both(
+            self, command, first, second, tmp_path, capsys):
+        for pair in (first + second, second + first):
+            assert run([*command, *pair, "-o", tmp_path / "out"]) == 1
+            err = capsys.readouterr().err
+            assert first[0] in err and second[0] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_size_flag_defaults(self):
+        from sparsebm.cli import build_parser
+
+        parser = build_parser()
+        expand = parser.parse_args(["expand", "--corpus", "c", "--skeleton", "s",
+                                    "--tree-model", "t", "-o", "o"])
+        assert (expand.add, expand.fraction) == (None, 0.2)
+        prune = parser.parse_args(["prune", "--corpus", "c", "--model", "m", "-o", "o"])
+        assert (prune.target, prune.target_fraction) == (None, 0.2)
+
     def test_bad_pruned_model_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "bad.rs"
         model.write_text(
@@ -383,6 +407,19 @@ class TestPipeline:
         captured = capsys.readouterr()
         for word in named:
             assert word in captured.err
+        assert "[corpus]" not in captured.out
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_expand_add_and_fraction_fail_before_stages(
+            self, small_corpus_files, tmp_path, capsys):
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        config["expand"] = {"add": 2, "fraction": 0.5}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert "'add'" in captured.err and "'fraction'" in captured.err
         assert "[corpus]" not in captured.out
         assert not (tmp_path / "run").exists()
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from sparsebm.corpus import Corpus, Document
 from sparsebm.errors import FileFormatError, StructureError
@@ -230,6 +231,64 @@ class TestTreeMarginals:
         alone = [tree_sum_product(structure, t, w, want_marginals=False)[2]
                  for t, w in parts]
         assert np.array_equal(stacked, np.concatenate(alone))
+
+    @pytest.mark.parametrize("kind", ["random", "balanced"])
+    def test_matches_enumeration_at_extreme_potentials(self, kind):
+        # a star whose BFS parent 3 is the higher-indexed end of edges (1, 3)
+        # and (2, 3), a second tree where 6 is the parent of 5, and the
+        # isolated unit 7; node potentials up to +-800, edge log-weights up
+        # to +-400. "balanced" offsets each unit by half its incident
+        # weights, so large potentials nearly cancel and no state dominates
+        f = 8
+        tree = [(0, 3), (1, 3), (2, 3), (4, 6), (5, 6)]
+        structure = SbmStructure(f, 1, [(j, 0) for j in range(f)], tree)
+        rng = np.random.default_rng(23 if kind == "random" else 29)
+        n = 12
+        edge_logw = rng.uniform(-400, 400, (n, len(tree)))
+        if kind == "random":
+            theta = rng.uniform(-800, 800, (n, f))
+        else:
+            theta = rng.normal(0, 2, (n, f))
+            for e, (j, l) in enumerate(structure.tree_edges):
+                theta[:, j] -= edge_logw[:, e] / 2
+                theta[:, l] -= edge_logw[:, e] / 2
+        singleton, pairwise, logz = tree_sum_product(structure, theta, edge_logw)
+        for out in (singleton, pairwise, logz):
+            assert np.all(np.isfinite(out))
+        states = hidden_states(f)
+        doc = Document([0], [1])  # length 1: theta = a and edge_logw = Wt
+        for i in range(n):
+            model = SbmModel(structure, np.zeros((f, 1)), edge_logw[i], theta[i],
+                             np.zeros(1))
+            joint, log_z = brute_posterior(model, doc)
+            singles = joint @ states
+            assert np.allclose(singleton[i], singles, rtol=0, atol=1e-10)
+            assert abs(logz[i] - log_z) <= 1e-12 * abs(log_z)
+            # no entry is a difference, so tiny ones keep relative precision
+            tiny = singles > 1e-300
+            assert np.allclose(singleton[i][tiny], singles[tiny], rtol=1e-8, atol=0)
+            for e, (j, l) in enumerate(structure.tree_edges):
+                expected = np.zeros((2, 2))
+                np.add.at(expected, (states[:, j].astype(int), states[:, l].astype(int)),
+                          joint)
+                assert np.allclose(pairwise[i, e], expected, rtol=0, atol=1e-10)
+                tiny = expected > 1e-300
+                assert np.allclose(pairwise[i, e][tiny], expected[tiny], rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 800.0])
+    def test_tree_less_structure_is_expit_and_logaddexp(self, scale):
+        # RS and pruned-RS numbers rest on these exact expressions
+        rng = np.random.default_rng(31)
+        structure = random_structure(rng, 9, 5, tree_p=0.0)
+        theta = rng.normal(0, scale, (17, 9))
+        singleton, pairwise, logz = tree_sum_product(structure, theta,
+                                                     np.zeros((17, 0)))
+        assert np.array_equal(singleton, expit(theta))
+        assert pairwise.shape == (17, 0, 2, 2)
+        assert np.array_equal(logz, np.logaddexp(0.0, theta).sum(axis=1))
+        _, _, alone = tree_sum_product(structure, theta, np.zeros((17, 0)),
+                                       want_marginals=False)
+        assert np.array_equal(alone, logz)
 
 
 class TestGibbsChainEquilibrium:
