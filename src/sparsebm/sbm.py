@@ -452,7 +452,7 @@ def tree_sum_product(
     sigmoid(beta_p) sigmoid(delta_c + w), so tiny entries keep their
     relative precision.
     """
-    b, f = theta.shape
+    b = theta.shape[0]
     n_edges = structure.n_tree_edges
     if not n_edges:
         singleton = sigmoid(theta) if want_marginals else None
