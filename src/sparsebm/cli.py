@@ -781,7 +781,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True, help="vocab file or corpus prefix")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--top-n", type=int, default=10)
+    p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_interpret)
 

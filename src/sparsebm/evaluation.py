@@ -36,6 +36,8 @@ class AisSchedule:
             raise ValueError("schedule needs at least one segment")
         prev = 0.0
         for s, e, c in segments:
+            if not (math.isfinite(s) and math.isfinite(e)):
+                raise ValueError(f"segment ({s}, {e}, {c}) has a non-finite temperature")
             if c < 1:
                 raise ValueError("segment counts must be positive")
             if s < prev or e < s:
@@ -412,6 +414,8 @@ def unit_top_words(model, vocab, j: int, top_n: int = 10):
     """
     if not 0 <= j < model.n_hidden:
         raise ValueError(f"hidden index {j} out of range")
+    if top_n < 1:
+        raise ValueError(f"top_n must be at least 1, got {top_n!r}")
     candidates = model.structure.visible_indices(j)
     magnitude = np.abs(model.W[j, candidates])
     order = np.lexsort((candidates, -magnitude))

@@ -20,7 +20,6 @@ from .sbm import (  # noqa: F401  (TrainConfig is re-exported)
     _init_model,
     _parse_dims,
     _parse_vector,
-    _softmax_rows,
     read_sections,
     sbm_cd_gradients,
     sbm_cd_step,
@@ -68,6 +67,12 @@ def rs_hidden_conditional(model, doc: Document) -> np.ndarray:
     return sbm_tree_marginals(model, doc).singleton
 
 
+def _softmax_rows(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def rs_visible_softmax(model, h) -> np.ndarray:
     """Token distribution given hidden states: softmax(b + W^T h)."""
     h = _check_hidden(model, h)
@@ -84,14 +89,14 @@ def rs_sample_visible(model, h, d: int, rng: np.random.Generator) -> Document:
     return Document(words, counts[words])
 
 
-def rs_cd_gradients(model, batch, t, rng, mean_field_negative=False):
+def rs_cd_gradients(model, batch, t, rng):
     """Batch-averaged CD-T gradient estimates for W, a, b.
 
     Positive phase uses the exact factorized hidden conditional per
     document; the negative phase runs T full Gibbs steps (hidden sample,
     visible resample) initialised at the data.
     """
-    grads = sbm_cd_gradients(model, batch, t, rng, mean_field_negative)
+    grads = sbm_cd_gradients(model, batch, t, rng)
     return {name: grads[name] for name in ("W", "a", "b")}
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, dense_counts, minibatch_indices
 from .errors import FileFormatError, StructureError
-from .util import check_int, rng_from, sigmoid
+from .util import check_int, rng_from
 
 _INIT_STREAM = 31
 _CD_STREAM = 32
@@ -56,20 +56,18 @@ class TrainConfig:
         check_int("cd_steps", self.cd_steps, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("seed", self.seed)
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.weight_init_std < 0:
-            raise ValueError("weight_init_std must be non-negative")
+        for name in ("learning_rate", "weight_init_std"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.visible_bias_init not in ("zero", "log-frequency"):
             raise ValueError(f"unknown visible_bias_init {self.visible_bias_init!r}")
-        if isinstance(self.hidden_bias_lr_scale, str):
-            if self.hidden_bias_lr_scale != "auto":
-                raise ValueError(
-                    f"hidden_bias_lr_scale must be a float or 'auto',"
-                    f" got {self.hidden_bias_lr_scale!r}"
-                )
-        elif self.hidden_bias_lr_scale <= 0:
-            raise ValueError("hidden_bias_lr_scale must be positive")
+        scale = self.hidden_bias_lr_scale
+        if isinstance(scale, str):
+            if scale != "auto":
+                raise ValueError(f"hidden_bias_lr_scale must be a float or 'auto', got {scale!r}")
+        elif not math.isfinite(scale) or scale <= 0:
+            raise ValueError(f"hidden_bias_lr_scale must be finite and positive, got {scale!r}")
 
 
 class SbmStructure:
@@ -387,7 +385,7 @@ def sbm_gibbs_hidden_conditional(model: SbmModel, doc: Document, h, j: int) -> f
     act = model.W[j, doc.words] @ doc.counts.astype(np.float64) + d * model.a[j]
     for other, e in model.structure.neighbors(j):
         act += d * model.Wt[e] * h[other]
-    return float(sigmoid(act))
+    return float(_sigmoid(act))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +394,8 @@ def sbm_gibbs_hidden_conditional(model: SbmModel, doc: Document, h, j: int) -> f
 
 def _softplus(x, out, tmp):
     """log(1 + e^x) into out, with tmp as work space. max(x, 0) +
-    log1p(exp(-|x|)) never overflows and, unlike np.logaddexp, runs numpy's
-    vectorised exp and log1p."""
+    log1p(exp(-|x|)) never overflows and runs numpy's vectorised exp and
+    log1p."""
     np.abs(x, out=tmp)
     np.negative(tmp, out=tmp)
     np.exp(tmp, out=tmp)
@@ -415,16 +413,17 @@ def _softplus_gap(pair, w, tmp, out):
     return np.subtract(pair[1], pair[0], out=out)
 
 
-def _sigmoid_pair(x):
-    """(sigmoid(x), sigmoid(-x)) as 1 / (1 + e^-x) and 1 / (1 + e^x), each
-    with its own exp, so neither is a difference; an exp that overflows
-    gives the exact limit 0."""
+def _sigmoid(x):
+    """The logistic 1 / (1 + e^-x); an exp that overflows gives the exact
+    limit 0."""
     with np.errstate(over="ignore"):
-        pair = np.exp(np.negative(x)), np.exp(x)
-    for s in pair:
-        s += 1.0
-        np.reciprocal(s, out=s)
-    return pair
+        return 1.0 / (1.0 + np.exp(np.negative(x)))
+
+
+def _sigmoid_pair(x):
+    """(sigmoid(x), sigmoid(-x)), each with its own exp, so neither is a
+    difference."""
+    return _sigmoid(x), _sigmoid(np.negative(x))
 
 
 def tree_sum_product(
@@ -441,7 +440,10 @@ def tree_sum_product(
     Returns (singleton, pairwise, logz) where singleton is (B, F), pairwise
     (B, E, 2, 2) indexed by the canonical (lower, higher) edge endpoints, and
     logz (B,). Entries not requested come back as None. pairwise is a view
-    of an edge-major (E, 2, 2, B) array.
+    of an edge-major (E, 2, 2, B) array. Every structure takes this one
+    path: without tree edges there are no up or down steps, so a unit's
+    marginal is sigmoid(theta), log Z the row sum of softplus(theta), and
+    pairwise is (B, 0, 2, 2).
 
     Messages are log-odds, on unit-major (F, B) rows. Going up, delta_j is
     the log-odds of h_j given its subtree alone, and a child c sends its
@@ -454,10 +456,6 @@ def tree_sum_product(
     """
     b = theta.shape[0]
     n_edges = structure.n_tree_edges
-    if not n_edges:
-        singleton = sigmoid(theta) if want_marginals else None
-        pairwise = np.empty((b, 0, 2, 2)) if want_marginals else None
-        return singleton, pairwise, np.logaddexp(0.0, theta).sum(axis=1)
     plan = structure._bp_plan()
 
     delta = np.array(theta.T, order="C")
@@ -523,12 +521,6 @@ def sbm_tree_marginals(model: SbmModel, doc: Document) -> TreePosterior:
 # contrastive divergence
 
 
-def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)
-
-
 def _multinomial_plan(lengths):
     """The constants of _multinomial_rows that depend on the row lengths
     only: the row offsets, and each key's offset and upper edge."""
@@ -537,9 +529,13 @@ def _multinomial_plan(lengths):
     return offsets, offsets[row], np.nextafter(offsets + 1.0, 0.0)[row]
 
 
-def _multinomial_rows(rng, lengths, p, plan=None):
-    """One multinomial count vector per row of p: row r of the (B, K) float
-    result holds lengths[r] draws from the distribution p[r].
+def _multinomial_rows(rng, lengths, w, plan=None):
+    """One multinomial count vector per row of w: row r of the (B, K) float
+    result holds lengths[r] draws from the distribution w[r] / sum(w[r]).
+
+    w holds non-negative weights, each row with a positive sum; only the
+    CDF is normalised, so w and any positive multiple of it give the same
+    draws wherever the scaling is exact, as it is for a power of two.
 
     Inverse CDF over all rows at once: row r's normalised CDF is offset to
     [2r, 2r+1], and sum(lengths) uniforms get the same offsets and are
@@ -550,9 +546,9 @@ def _multinomial_rows(rng, lengths, p, plan=None):
     every row keeps exactly its own lengths[r] draws. plan is
     _multinomial_plan(lengths), built here when not given.
     """
-    n_rows, k = p.shape
+    n_rows, k = w.shape
     offsets, key_offsets, key_upper = plan or _multinomial_plan(lengths)
-    cdf = np.cumsum(p, axis=1)
+    cdf = np.cumsum(w, axis=1)
     cdf /= cdf[:, -1:]
     cdf += offsets[:, None]
     keys = rng.random(key_offsets.size)
@@ -594,7 +590,7 @@ def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0, columns=None):
         unit_act = theta[:, units]  # an index array, so this is a copy
         if columns is not None:
             unit_act += lengths[:, None] * (h @ columns[c])
-        p = sigmoid(beta * unit_act)
+        p = _sigmoid(beta * unit_act)
         h[:, units] = rng.random(p.shape) < p
     return h
 
@@ -621,26 +617,28 @@ def _gibbs_step(model, chain, theta, h, rng, beta=1.0):
 
     A hidden sweep given the node potentials theta of the current visible
     sample (updating h in place), then a visible sample from
-    softmax(b + beta W^T h) drawn by _multinomial_rows. chain is
+    softmax(b + beta W^T h), drawn by _multinomial_rows from the
+    unnormalised weights exp(logits - row max): the sampler's CDF division
+    is the only normalisation. chain is
     _chain(model, lengths) for the rows' document lengths. Returns
     (h, u, theta) with the new sample's counts and node potentials, the
     theta of _batch_theta; the edge potentials depend on the lengths only,
     so callers build them once.
     """
     h = _gibbs_hidden_sweep(model, theta, chain.lengths, h, rng, beta, chain.columns)
-    p_vis = _softmax_rows(model.b + beta * (h @ model.W))
-    u = _multinomial_rows(rng, chain.lengths, p_vis, chain.draw)
+    logits = model.b + beta * (h @ model.W)
+    logits -= logits.max(axis=1, keepdims=True)
+    u = _multinomial_rows(rng, chain.lengths, np.exp(logits, out=logits), chain.draw)
     return h, u, u @ model.W.T + chain.length_a
 
 
-def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative=False):
+def cd_gradients(model, counts_matrix, lengths, t, rng):
     """Batch-averaged CD-T gradients for W, Wt, a, b of a dense count batch.
 
     lengths holds the row sums of counts_matrix. The positive phase uses
     exact tree posteriors; the negative phase runs T Gibbs steps from the
-    data, and its final hidden statistic is a sampled state or, with
-    mean_field_negative, the exact posterior of the final visible sample.
-    Hidden and tree-coupling gradients carry the per-document length factor.
+    data, and its final hidden statistic is a state sampled given the final
+    visible sample. Hidden and tree-coupling gradients carry the per-document length factor.
     The W gradient is restricted to structure edges.
     """
     u = counts_matrix
@@ -651,14 +649,9 @@ def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative=Fals
     h_neg = np.zeros(theta.shape)
     for _ in range(t):
         h_neg, u_neg, theta = _gibbs_step(model, chain, theta, h_neg, rng)
-    if mean_field_negative:
-        h_neg, pair_neg, _ = tree_sum_product(model.structure, theta, edge_logw)
-        hh_neg = pair_neg[:, :, 1, 1]
-    else:
-        h_neg = _gibbs_hidden_sweep(model, theta, lengths, h_neg, rng,
-                                    columns=chain.columns)
-        ej, el = model.structure._edge_ends
-        hh_neg = h_neg[:, ej] * h_neg[:, el]
+    h_neg = _gibbs_hidden_sweep(model, theta, lengths, h_neg, rng, columns=chain.columns)
+    ej, el = model.structure._edge_ends
+    hh_neg = h_neg[:, ej] * h_neg[:, el]
     grad_w = np.where(model.structure.mask(), e_h.T @ u - h_neg.T @ u_neg, 0.0)
     grad_wt = (pairwise[:, :, 1, 1] * lengths[:, None]).sum(axis=0)
     grad_wt -= (hh_neg * lengths[:, None]).sum(axis=0)
@@ -670,12 +663,12 @@ def cd_gradients(model, counts_matrix, lengths, t, rng, mean_field_negative=Fals
     }
 
 
-def sbm_cd_gradients(model, batch, t, rng, mean_field_negative=False):
+def sbm_cd_gradients(model, batch, t, rng):
     """cd_gradients for a list of documents."""
     if t < 1:
         raise ValueError("cd_steps must be at least 1")
     u = dense_counts(batch, model.n_visible)
-    return cd_gradients(model, u, u.sum(axis=1), t, rng, mean_field_negative)
+    return cd_gradients(model, u, u.sum(axis=1), t, rng)
 
 
 def _apply_gradients(model, grads, lr, lr_h):

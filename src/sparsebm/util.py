@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -24,11 +23,6 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
-
-
-def sigmoid(x):
-    """Numerically stable logistic function."""
-    return expit(x)
 
 
 def log_mean_exp(values) -> float:

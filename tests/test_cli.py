@@ -56,6 +56,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("flag, value", [
         ("--schedule", "0:1:x"), ("--schedule", "0:1"), ("--schedule", "0:0.5:5"),
+        ("--schedule", "0:nan:5,nan:1:5"), ("--schedule", "0:1:5,1:inf:5"),
         ("--max-docs", "-3"), ("--max-docs", "0"), ("--ais-runs", "0"),
     ])
     def test_bad_eval_setting_is_usage_error_naming_it(self, flag, value, tmp_path,
@@ -250,6 +251,34 @@ class TestWorkflow:
         assert "# model_score" in text
 
 
+    @pytest.mark.parametrize("command", ["train-rs", "train-sbm"])
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--lr", "nan", "learning_rate"), ("--lr", "-1", "learning_rate"),
+        ("--weight-init-std", "inf", "weight_init_std"),
+        ("--bias-lr-scale", "nan", "hidden_bias_lr_scale"),
+        ("--bias-lr-scale", "inf", "hidden_bias_lr_scale"),
+    ])
+    def test_bad_train_setting_is_data_error_naming_it(self, workdir, tmp_path, capsys,
+                                                       command, flag, value, named):
+        from sparsebm.sbm import SbmStructure, save_structure
+
+        structure = tmp_path / "full.structure"
+        save_structure(SbmStructure.full(2, 12), structure)
+        size = ["--hidden", 2] if command == "train-rs" else ["--structure", structure]
+        out = tmp_path / "model"
+        assert run([command, *size, "--corpus", workdir / "train", "--epochs", 1,
+                    flag, value, "-o", out]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_interpret_top_n_below_one_is_usage_error(self, tmp_path, capsys, value):
+        code = run(["interpret", "--model", tmp_path / "m.rs", "--vocab", tmp_path / "v",
+                    "--embeddings", tmp_path / "e", "--top-n", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--top-n" in err and value in err
+
     def test_prune_above_a_pruned_models_budget_is_data_error(self, workdir, tmp_path,
                                                             capsys):
         train = workdir / "train"
@@ -355,6 +384,11 @@ class TestPipeline:
         ("split", {"n_train": 320, "n_test": 0}, "split.n_test"),
         ("train", {"batch_size": 0}, "'train'"),
         ("train_defaults", {"epochs": 2.5}, "epochs"),
+        ("train", {"learning_rate": float("nan")}, "learning_rate"),
+        ("tree_train", {"weight_init_std": float("inf")}, "weight_init_std"),
+        ("train_defaults", {"hidden_bias_lr_scale": float("nan")}, "hidden_bias_lr_scale"),
+        ("eval", {"schedule": [[0.0, float("nan"), 5], [float("nan"), 1.0, 5]]},
+         "eval.schedule"),
         ("tree_train", {"cd_steps": True}, "'tree_train'"),
         ("prune", {"target_per_unit": 2.5}, "'prune'"),
         ("prune", {"prune_fraction": 1.5}, "'prune'"),

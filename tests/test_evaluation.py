@@ -27,7 +27,6 @@ from sparsebm.sbm import (
     _batch_theta,
     _gibbs_hidden_sweep,
     _multinomial_rows,
-    _softmax_rows,
     tree_sum_product,
 )
 from sparsebm.util import rng_from
@@ -67,8 +66,9 @@ def reference_ais_log_weights(model, doc_length, schedule, runs, rng):
         if k < betas.size - 1:
             theta = _batch_theta(model, u, lengths)[0]
             h = _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=betas[k])
-            p_vis = _softmax_rows(model.b + betas[k] * (h @ model.W))
-            u = _multinomial_rows(rng, lengths, p_vis)
+            logits = model.b + betas[k] * (h @ model.W)
+            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+            u = _multinomial_rows(rng, lengths, weights)
             lp_prev = log_p_star(u, lengths, betas[k])
     return log_w
 
@@ -103,6 +103,15 @@ class TestSchedule:
             AisSchedule([(0.0, 1.0, 0)])
         with pytest.raises(ValueError):
             AisSchedule([(0.5, 1.0, 10)])  # does not start at 0
+
+    @pytest.mark.parametrize("segments", [
+        [(0.0, float("nan"), 5), (float("nan"), 1.0, 5)],
+        [(0.0, 1.0, 5), (1.0, float("inf"), 5)],
+        [(float("-inf"), 1.0, 5)],
+    ])
+    def test_non_finite_temperature_refused(self, segments):
+        with pytest.raises(ValueError, match="non-finite temperature"):
+            AisSchedule(segments)
 
 
 class TestExactLogZ:
@@ -449,6 +458,12 @@ class TestInterpretability:
         model = SbmModel(s, w, np.zeros(0), np.zeros(1), np.zeros(4))
         words = unit_top_words(model, ["a", "b", "c", "d"], 0, top_n=3)
         assert words == ["c", "b"]
+
+    @pytest.mark.parametrize("top_n", [0, -2])
+    def test_top_n_below_one_refused(self, top_n):
+        model = self.make_model([[1.0, -1.0, 0.5]])
+        with pytest.raises(ValueError, match="top_n"):
+            unit_top_words(model, ["a", "b", "c"], 0, top_n=top_n)
 
     def test_tie_breaks_to_lower_index(self):
         model = self.make_model([[1.0, -1.0, 0.5]])

@@ -5,14 +5,18 @@ from scipy.special import expit
 from sparsebm.corpus import Corpus, Document
 from sparsebm.errors import FileFormatError, StructureError
 from sparsebm.evaluation import exact_expectations, exact_log_prob
-from sparsebm.replicated_softmax import TrainConfig, rs_energy, rs_hidden_conditional
+from sparsebm.replicated_softmax import (
+    TrainConfig,
+    _softmax_rows,
+    rs_energy,
+    rs_hidden_conditional,
+)
 from sparsebm.sbm import (
     SbmModel,
     SbmStructure,
     _batch_theta,
     _gibbs_hidden_sweep,
     _multinomial_rows,
-    _softmax_rows,
     apply_mask,
     cd_gradients,
     init_sbm_model,
@@ -276,16 +280,21 @@ class TestTreeMarginals:
                 assert np.allclose(pairwise[i, e][tiny], expected[tiny], rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("scale", [1.0, 800.0])
-    def test_tree_less_structure_is_expit_and_logaddexp(self, scale):
-        # RS and pruned-RS numbers rest on these exact expressions
+    def test_tree_less_structure_matches_expit_and_logaddexp(self, scale):
+        # tree-less structures take the tree path with no up or down steps;
+        # its 1 / (1 + e^-x) and softplus agree with scipy's expit and
+        # numpy's logaddexp to the last bit or two, and never overflow
         rng = np.random.default_rng(31)
         structure = random_structure(rng, 9, 5, tree_p=0.0)
         theta = rng.normal(0, scale, (17, 9))
         singleton, pairwise, logz = tree_sum_product(structure, theta,
                                                      np.zeros((17, 0)))
-        assert np.array_equal(singleton, expit(theta))
+        assert np.all(np.isfinite(singleton)) and np.all(np.isfinite(logz))
+        expected = expit(theta)
+        assert np.all(singleton[expected == 0.0] == 0.0)
+        assert np.allclose(singleton, expected, rtol=1e-15, atol=0)
         assert pairwise.shape == (17, 0, 2, 2)
-        assert np.array_equal(logz, np.logaddexp(0.0, theta).sum(axis=1))
+        assert np.allclose(logz, np.logaddexp(0.0, theta).sum(axis=1), rtol=1e-15, atol=0)
         _, _, alone = tree_sum_product(structure, theta, np.zeros((17, 0)),
                                        want_marginals=False)
         assert np.array_equal(alone, logz)
@@ -420,6 +429,17 @@ class TestMultinomialRows:
             _, p_value = chisquare(totals[live], expected[live])
             assert p_value > 1e-3, (g, p_value)
 
+    def test_draws_ignore_a_power_of_two_scale(self):
+        # only the CDF is normalised, and scaling by 2^40 is exact
+        rng = np.random.default_rng(43)
+        w = rng.random((50, 30))
+        w[rng.random((50, 30)) < 0.3] = 0.0
+        w[:, 7] += 0.1
+        lengths = rng.integers(1, 80, 50).astype(np.float64)
+        plain = _multinomial_rows(rng_from(0, 43), lengths, w)
+        scaled = _multinomial_rows(rng_from(0, 43), lengths, 2.0**40 * w)
+        assert np.array_equal(plain, scaled)
+
     @pytest.mark.parametrize("p_row", [[0.0, 0.3, 0.0, 0.7, 0.0],
                                        [0.25, 0.25, 0.25, 0.25, 0.0]])
     def test_edge_uniforms_stay_in_their_own_row(self, p_row):
@@ -458,11 +478,10 @@ class TestCd:
         assert np.all(grads["W"][off] == 0.0)
 
     @pytest.mark.parametrize("tree", [True, False])
-    @pytest.mark.parametrize("mean_field", [False, True])
-    def test_gradients_match_stepwise_reference(self, tree, mean_field):
+    def test_gradients_match_stepwise_reference(self, tree):
         # the negative phase written out step by step (hidden sweep, visible
-        # softmax, multinomial draw, node potentials) from the same stream;
-        # unit 0 branches to 1, 2 and 3 in the tree model
+        # softmax weights, multinomial draw, node potentials) from the same
+        # stream; unit 0 branches to 1, 2 and 3 in the tree model
         rng = np.random.default_rng(19)
         f, k, t = 5, 6, 3
         s = SbmStructure(f, k, [(j, j % k) for j in range(f)] + [(0, 5), (2, 4), (4, 0)],
@@ -473,7 +492,7 @@ class TestCd:
         counts = rng.integers(0, 4, (7, k)).astype(np.float64)
         counts[:, 0] += 1.0
         lengths = counts.sum(axis=1)
-        got = cd_gradients(model, counts, lengths, t, rng_from(0, 13), mean_field)
+        got = cd_gradients(model, counts, lengths, t, rng_from(0, 13))
 
         ref_rng = rng_from(0, 13)
         theta, edge_logw = _batch_theta(model, counts, lengths)
@@ -481,16 +500,13 @@ class TestCd:
         h = np.zeros((counts.shape[0], f))
         for _ in range(t):
             h = _gibbs_hidden_sweep(model, theta, lengths, h, ref_rng)
-            p_vis = _softmax_rows(model.b + h @ model.W)
-            u = _multinomial_rows(ref_rng, lengths, p_vis)
-            theta, edge_logw = _batch_theta(model, u, lengths)
-        if mean_field:
-            h, pair_neg, _ = tree_sum_product(s, theta, edge_logw)
-            hh = pair_neg[:, :, 1, 1]
-        else:
-            h = _gibbs_hidden_sweep(model, theta, lengths, h, ref_rng)
-            ej, el = s._edge_ends
-            hh = h[:, ej] * h[:, el]
+            logits = model.b + h @ model.W
+            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+            u = _multinomial_rows(ref_rng, lengths, weights)
+            theta = _batch_theta(model, u, lengths)[0]
+        h = _gibbs_hidden_sweep(model, theta, lengths, h, ref_rng)
+        ej, el = s._edge_ends
+        hh = h[:, ej] * h[:, el]
         n = counts.shape[0]
         grad_wt = (pairwise[:, :, 1, 1] * lengths[:, None]).sum(axis=0)
         grad_wt -= (hh * lengths[:, None]).sum(axis=0)
@@ -599,6 +615,13 @@ class TestTrain:
     @pytest.mark.parametrize("field", ["epochs", "cd_steps", "batch_size", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_non_integer_setting_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_init_std",
+                                       "hidden_bias_lr_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_setting_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
