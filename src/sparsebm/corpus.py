@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import FileFormatError, StructureError
 from .util import rng_from
@@ -115,6 +116,7 @@ class Corpus:
         self.vocab = vocab
         self.docs = docs
         self.name = name
+        self._csr = None
 
     @property
     def n_words(self) -> int:
@@ -124,26 +126,66 @@ class Corpus:
     def n_docs(self) -> int:
         return len(self.docs)
 
+    def count_csr(self) -> sp.csr_matrix:
+        """The (n_docs, n_words) int64 count matrix in CSR form, rows in
+        document order; built on first use and kept, since the corpus does
+        not change."""
+        if self._csr is None:
+            docs = self.docs
+            sizes = np.fromiter((d.words.size for d in docs), np.int64, len(docs))
+            indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=indptr[1:])
+            none = [np.zeros(0, dtype=np.int64)]
+            words = np.concatenate([d.words for d in docs] or none)
+            counts = np.concatenate([d.counts for d in docs] or none)
+            self._csr = sp.csr_matrix(
+                (counts, words, indptr), shape=(len(docs), self.n_words)
+            )
+        return self._csr
+
+    def occurrence_csr(self) -> sp.csr_matrix:
+        """0/1 float64 word presence, sharing the count matrix's index arrays."""
+        csr = self.count_csr()
+        return sp.csr_matrix(
+            (np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape, copy=False
+        )
+
+    def dense_rows(self, rows) -> np.ndarray:
+        """Dense float64 counts of the documents selected by rows (a slice or
+        an index array), one row each: a block of counts_matrix() made from
+        the CSR without the rest of it."""
+        csr = self.count_csr()
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(self.n_docs))
+        rows = np.asarray(rows, dtype=np.int64)
+        start = csr.indptr[rows]
+        size = csr.indptr[rows + 1] - start
+        # position of each selected entry in the CSR's indices and data
+        pos = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+        out = np.zeros((rows.size, self.n_words))
+        out[np.repeat(np.arange(rows.size), size), csr.indices[pos]] = csr.data[pos]
+        return out
+
     def counts_matrix(self) -> np.ndarray:
-        """Dense (n_docs, n_words) count matrix."""
-        return dense_counts(self.docs, self.n_words)
+        """Dense (n_docs, n_words) count matrix; a whole-corpus convenience,
+        n_docs * n_words floats."""
+        return self.dense_rows(slice(None))
 
     def occurrence_matrix(self) -> np.ndarray:
-        """Dense 0/1 (n_docs, n_words) word-presence matrix."""
+        """Dense 0/1 (n_docs, n_words) word-presence matrix; a whole-corpus
+        convenience like counts_matrix()."""
         out = self.counts_matrix()
         return (out > 0).astype(np.float64)
 
     def total_counts(self) -> np.ndarray:
+        csr = self.count_csr()
         out = np.zeros(self.n_words, dtype=np.int64)
-        for d in self.docs:
-            out[d.words] += d.counts
+        np.add.at(out, csr.indices, csr.data)
         return out
 
     def doc_frequencies(self) -> np.ndarray:
-        out = np.zeros(self.n_words, dtype=np.int64)
-        for d in self.docs:
-            out[d.words] += 1
-        return out
+        # a document holds each word once
+        return np.bincount(self.count_csr().indices, minlength=self.n_words).astype(np.int64)
 
     def __repr__(self):
         return f"Corpus(name={self.name!r}, n_docs={self.n_docs}, n_words={self.n_words})"

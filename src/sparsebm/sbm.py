@@ -478,7 +478,7 @@ def tree_sum_product(
     for p, c, e in plan.down_steps:
         np.subtract(beta[p], msg[e], out=pair[0])
         beta[c] += _softplus_gap(pair, w[e], tmp, tmp[0])
-    on, off = _sigmoid_pair(beta)
+    on = _sigmoid(beta)
     singleton = np.ascontiguousarray(on.T)
 
     parent, child = plan.edge_parent, plan.edge_child
@@ -486,7 +486,8 @@ def tree_sum_product(
     np.take(delta, child, axis=0, out=x[0])
     np.add(x[0], w, out=x[1])
     c_on, c_off = _sigmoid_pair(x)
-    p_on, p_off = on[parent], off[parent]
+    # sigmoid(-beta) only where a tree edge uses it
+    p_on, p_off = on[parent], _sigmoid(np.negative(beta[parent]))
     # tab[e, h_p, h_c]: rows are the parent's state
     tab = np.empty((n_edges, 2, 2, b))
     np.multiply(p_off, c_off[0], out=tab[:, 0, 0])
@@ -690,7 +691,7 @@ def sbm_cd_step(model: SbmModel, batch, t: int, lr: float,
 
 def _bias_lr_factor(config: TrainConfig, corpus: Corpus) -> float:
     if config.hidden_bias_lr_scale == "auto":
-        total = sum(doc.length for doc in corpus.docs)
+        total = int(corpus.count_csr().data.sum())
         return 1.0 / max(1.0, total / max(1, corpus.n_docs))
     return float(config.hidden_bias_lr_scale)
 
@@ -735,7 +736,6 @@ def sbm_fit(
     if rng is None:
         rng = rng_from(config.seed, _CD_STREAM)
     work = apply_mask(model.copy())
-    dense = corpus.counts_matrix()
     lr = config.learning_rate
     lr_h = lr * _bias_lr_factor(config, corpus)
     for epoch in range(epochs):
@@ -743,7 +743,7 @@ def sbm_fit(
             corpus.n_docs, config.batch_size, config.seed, epoch_offset + epoch
         )
         for idx in batches:
-            u = dense[idx]
+            u = corpus.dense_rows(idx)
             grads = cd_gradients(work, u, u.sum(axis=1), config.cd_steps, rng)
             _apply_gradients(work, grads, lr, lr_h)
     return work

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import Corpus
 from .errors import FileFormatError, StructureError
@@ -85,32 +86,45 @@ class CmiTable:
 # pairwise mutual information over binary indicators
 
 
-def pairwise_binary_mi(indicators: np.ndarray) -> np.ndarray:
-    """MI in nats between all pairs of binary columns; diagonal zeroed."""
-    n, k = indicators.shape
-    x = indicators.astype(np.float64)
-    n11 = x.T @ x
-    n1 = x.sum(axis=0)
-    p11 = n11 / n
-    p10 = (n1[:, None] - n11) / n
-    p01 = (n1[None, :] - n11) / n
-    p00 = 1.0 - p11 - p10 - p01
+# rows of the K x K MI matrix formed at once
+_MI_BLOCK = 128
+
+
+def pairwise_binary_mi(indicators) -> np.ndarray:
+    """MI in nats between all pairs of binary columns; diagonal zeroed.
+
+    indicators is an (N, K) 0/1 array or sparse matrix. The co-occurrence
+    counts come from one sparse product, whose cost is the sum over rows of
+    the squared row counts, and the four MI terms are formed a block of rows
+    at a time. Every count is an integer, exact in float64, so neither the
+    sparse product nor the blocking changes a bit of the result.
+    """
+    x = sp.csr_matrix(indicators, dtype=np.float64)
+    n, k = x.shape
+    n11 = (x.T @ x).toarray()
+    n1 = np.bincount(x.indices, weights=x.data, minlength=k)
     pa1 = n1 / n
     pa0 = 1.0 - pa1
     mi = np.zeros((k, k))
-    for pab, pa, pb in (
-        (p11, pa1[:, None], pa1[None, :]),
-        (p10, pa1[:, None], pa0[None, :]),
-        (p01, pa0[:, None], pa1[None, :]),
-        (p00, pa0[:, None], pa0[None, :]),
-    ):
-        denom = pa * pb
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = pab * np.log(pab / denom)
-        term[~np.isfinite(term)] = 0.0
-        mi += term
+    for lo in range(0, k, _MI_BLOCK):
+        rows = slice(lo, min(lo + _MI_BLOCK, k))
+        p11 = n11[rows] / n
+        p10 = (n1[rows, None] - n11[rows]) / n
+        p01 = (n1[None, :] - n11[rows]) / n
+        p00 = 1.0 - p11 - p10 - p01
+        for pab, pa, pb in (
+            (p11, pa1[rows, None], pa1[None, :]),
+            (p10, pa1[rows, None], pa0[None, :]),
+            (p01, pa0[rows, None], pa1[None, :]),
+            (p00, pa0[rows, None], pa0[None, :]),
+        ):
+            denom = pa * pb
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = pab * np.log(pab / denom)
+            term[~np.isfinite(term)] = 0.0
+            mi[rows] += term
     np.fill_diagonal(mi, 0.0)
-    return np.maximum(mi, 0.0)
+    return np.maximum(mi, 0.0, out=mi)
 
 
 def _greedy_groups(mi: np.ndarray, max_size: int, floor: float):
@@ -183,6 +197,19 @@ def _max_spanning_tree(mi: np.ndarray):
     return sorted(out)
 
 
+def _any_present(occ, sets) -> sp.csr_matrix:
+    """Sparse 0/1 (N, len(sets)) indicators: does a document hold any word
+    of each set."""
+    words = np.concatenate(sets)
+    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    member = sp.csr_matrix(
+        (np.ones(words.size), (words, owner)), shape=(occ.shape[1], len(sets))
+    )
+    hits = occ @ member
+    hits.data[:] = 1.0
+    return hits
+
+
 def build_skeleton(
     corpus: Corpus,
     island_max: int = 7,
@@ -205,13 +232,13 @@ def build_skeleton(
     """
     if corpus.n_words < 2:
         raise ValueError("need at least two words to build a skeleton")
-    occ = corpus.occurrence_matrix()
     n = corpus.n_docs
     if n < 2:
         raise ValueError("need at least two documents to build a skeleton")
     floor = _CHI2_99_DF1 / (2.0 * n) if mi_floor == "auto" else float(mi_floor)
 
-    df = occ.sum(axis=0)
+    occ = corpus.occurrence_csr()
+    df = corpus.doc_frequencies()
     informative = np.nonzero((df > 0) & (df < n))[0]
     degenerate = np.nonzero((df == 0) | (df == n))[0]
     if informative.size == 0:
@@ -220,11 +247,7 @@ def build_skeleton(
     mi_words = pairwise_binary_mi(occ[:, informative])
     island_local = _greedy_groups(mi_words, island_max, floor)
     islands = [[int(informative[i]) for i in local] for local in island_local]
-
-    island_ind = np.stack(
-        [occ[:, members].any(axis=1) for members in islands], axis=1
-    ).astype(np.float64)
-    mi_islands = pairwise_binary_mi(island_ind)
+    mi_islands = pairwise_binary_mi(_any_present(occ, islands))
     supergroup_islands = _greedy_groups(mi_islands, supergroup_max, floor)
 
     groups = [
@@ -232,9 +255,7 @@ def build_skeleton(
     ]
 
     # attach constant words to the smallest group, lowest index on ties
-    group_ind = np.stack(
-        [occ[:, g].any(axis=1) for g in groups], axis=1
-    ).astype(np.float64)
+    group_ind = _any_present(occ, groups)
     for v in degenerate:
         sizes = [len(g) for g in groups]
         target = int(np.argmin(sizes))
@@ -417,6 +438,12 @@ def _pair_joints(model: SbmModel, counts: np.ndarray, conditioners):
 _CMI_CHUNK = 2048
 
 
+def _count_chunks(corpus: Corpus):
+    """Dense count blocks of _CMI_CHUNK documents, one at a time, in order."""
+    for start in range(0, corpus.n_docs, _CMI_CHUNK):
+        yield corpus.dense_rows(slice(start, start + _CMI_CHUNK))
+
+
 def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
     """Score every (hidden unit, out-of-group word) pair.
 
@@ -429,21 +456,16 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
     owner = _skeleton_owner(structure)
     f = structure.n_hidden
     k = structure.n_visible
-    n = corpus.n_docs
-    occ = corpus.occurrence_matrix()
-    dense = corpus.counts_matrix()
 
     # acc[j, (h_j, h_owner), absent/present, v]: posterior mass of unit j
     # and the owner of word v against v's presence
     acc = np.zeros((f, 4, 2, k))
-    for start in range(0, n, _CMI_CHUNK):
-        chunk = slice(start, min(start + _CMI_CHUNK, n))
-        present = occ[chunk]
-        absent = 1.0 - present
-        for jp, joint in _pair_joints(tree_model, dense[chunk], range(f)):
+    for counts in _count_chunks(corpus):
+        for jp, joint in _pair_joints(tree_model, counts, range(f)):
             members = structure.visible_indices(jp)
+            present = counts[:, members] > 0
             # one product for the absent and the present columns
-            both = np.concatenate([absent[:, members], present[:, members]], axis=1)
+            both = np.concatenate([~present, present], axis=1).astype(np.float64)
             acc[:, :, :, members] += (joint.reshape(4 * f, -1) @ both).reshape(f, 4, 2, -1)
 
     score = _cmi(acc.reshape(f, 2, 2, 2, k).transpose(0, 4, 1, 2, 3))
@@ -467,15 +489,12 @@ def estimate_cmi(tree_model: SbmModel, corpus: Corpus, j: int, v: int) -> float:
     jp = int(owner[v])
     if jp == j:
         raise ValueError(f"word {v} belongs to hidden unit {j}'s own group")
-    n = corpus.n_docs
-    dense = corpus.counts_matrix()
-    occ = corpus.occurrence_matrix()[:, v]
     joint = np.zeros((2, 2, 2))
-    for start in range(0, n, _CMI_CHUNK):
-        chunk = slice(start, min(start + _CMI_CHUNK, n))
-        _, pair = next(_pair_joints(tree_model, dense[chunk], [jp]))
-        joint[:, :, 0] += pair[j] @ (1.0 - occ[chunk])
-        joint[:, :, 1] += pair[j] @ occ[chunk]
+    for counts in _count_chunks(corpus):
+        _, pair = next(_pair_joints(tree_model, counts, [jp]))
+        occ = (counts[:, v] > 0).astype(np.float64)
+        joint[:, :, 0] += pair[j] @ (1.0 - occ)
+        joint[:, :, 1] += pair[j] @ occ
     return cmi_from_joint(joint)
 
 

@@ -17,6 +17,7 @@ from sparsebm.corpus import (
     split_corpus,
 )
 from sparsebm.errors import FileFormatError, StructureError
+from sparsebm.sbm import TrainConfig, _bias_lr_factor
 
 
 def write_bow(tmp_path, header, entries, vocab):
@@ -126,6 +127,65 @@ class TestRoundTrip:
             save_uci_bow(corpus, d, v)
             loaded, _ = load_uci_bow(d, v)
         assert loaded.docs == corpus.docs
+
+
+def dense_by_loop(docs, n_words):
+    """The count matrix built one document at a time, as int64."""
+    out = np.zeros((len(docs), n_words), dtype=np.int64)
+    for i, d in enumerate(docs):
+        out[i, d.words] = d.counts
+    return out
+
+
+class TestCountCsr:
+    def check(self, corpus, rows):
+        want = dense_by_loop(corpus.docs, corpus.n_words)
+        csr = corpus.count_csr()
+        assert csr.shape == want.shape
+        assert csr.dtype == np.int64
+        assert np.array_equal(csr.toarray(), want)
+        assert corpus.count_csr() is csr
+        assert np.array_equal(corpus.counts_matrix(), want.astype(np.float64))
+        assert np.array_equal(corpus.occurrence_matrix(), (want > 0).astype(np.float64))
+        assert np.array_equal(corpus.occurrence_csr().toarray(), (want > 0).astype(np.float64))
+        block = corpus.dense_rows(rows)
+        assert block.dtype == np.float64
+        assert np.array_equal(block, want[rows].astype(np.float64))
+        assert np.array_equal(corpus.dense_rows(slice(1, None)), want[1:].astype(np.float64))
+
+        totals = np.zeros(corpus.n_words, dtype=np.int64)
+        df = np.zeros(corpus.n_words, dtype=np.int64)
+        for d in corpus.docs:
+            totals[d.words] += d.counts
+            df[d.words] += 1
+        for got, expect in ((corpus.total_counts(), totals), (corpus.doc_frequencies(), df)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expect)
+        config = TrainConfig(hidden_bias_lr_scale="auto")
+        mean_length = sum(d.length for d in corpus.docs) / max(1, corpus.n_docs)
+        assert _bias_lr_factor(config, corpus) == 1.0 / max(1.0, mean_length)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_dense_loop(self, data):
+        k = data.draw(st.integers(1, 8))
+        entries = data.draw(st.lists(
+            st.dictionaries(st.integers(0, k - 1), st.integers(1, 2**40), min_size=1),
+            max_size=6,
+        ))
+        corpus = Corpus([f"w{i}" for i in range(k)], map(Document.from_counts, entries))
+        rows = data.draw(st.lists(st.integers(0, len(entries) - 1), max_size=8)
+                         if entries else st.just([]))
+        self.check(corpus, rows)
+
+    @pytest.mark.parametrize("docs", [
+        [],
+        [Document([2], [7])],
+        [Document([0, 4], [1, 3]), Document([4], [2]), Document([0], [5])],
+    ], ids=["no-documents", "one-document", "unused-words"])
+    def test_edge_corpora(self, docs):
+        corpus = Corpus([f"w{i}" for i in range(6)], docs)
+        self.check(corpus, list(range(len(docs)))[::-1])
 
 
 class TestSelectVocab:

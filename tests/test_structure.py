@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparsebm.corpus import Corpus, Document
 from sparsebm.errors import FileFormatError, StructureError
 from sparsebm.replicated_softmax import TrainConfig
-from sparsebm.sbm import SbmModel, SbmStructure, sbm_train
+from sparsebm.sbm import SbmModel, SbmStructure, init_sbm_model, sbm_train
 from sparsebm.structure import (
     Skeleton,
     _greedy_groups,
@@ -19,6 +21,7 @@ from sparsebm.structure import (
     save_skeleton,
     sbm_sfc,
 )
+from sparsebm.synthetic import sparse_topic_corpus
 from sparsebm.util import rng_from
 
 from conftest import brute_posterior, hidden_states
@@ -47,7 +50,46 @@ def two_block_corpus(n_docs=2000, seed=7):
     return corpus_from_occurrence(rows, 7)
 
 
+def whole_matrix_mi(indicators):
+    """pairwise_binary_mi's rule on the whole dense matrix at once."""
+    n, k = indicators.shape
+    x = indicators.astype(np.float64)
+    n11 = x.T @ x
+    n1 = x.sum(axis=0)
+    p11 = n11 / n
+    p10 = (n1[:, None] - n11) / n
+    p01 = (n1[None, :] - n11) / n
+    p00 = 1.0 - p11 - p10 - p01
+    pa1 = n1 / n
+    pa0 = 1.0 - pa1
+    mi = np.zeros((k, k))
+    for pab, pa, pb in (
+        (p11, pa1[:, None], pa1[None, :]),
+        (p10, pa1[:, None], pa0[None, :]),
+        (p01, pa0[:, None], pa1[None, :]),
+        (p00, pa0[:, None], pa0[None, :]),
+    ):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = pab * np.log(pab / (pa * pb))
+        term[~np.isfinite(term)] = 0.0
+        mi += term
+    np.fill_diagonal(mi, 0.0)
+    return np.maximum(mi, 0.0)
+
+
 class TestPairwiseMi:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_and_dense_equal_whole_matrix_rule(self, seed):
+        # more columns than one block of rows, with constant and repeated columns
+        rng = np.random.default_rng(seed)
+        x = rng.random((60, 300)) < rng.uniform(0.01, 0.6, 300)
+        x[:, 5] = False
+        x[:, 7] = True
+        x[:, 200] = x[:, 9]
+        want = whole_matrix_mi(x)
+        for indicators in (x, x.astype(np.float64), sp.csr_matrix(x, dtype=np.float64)):
+            assert np.array_equal(pairwise_binary_mi(indicators), want)
+
     def test_perfectly_correlated_pair(self):
         rows = [[0, 1]] * 30 + [[]] * 0 + [[2]] * 30
         corpus = corpus_from_occurrence(rows, 3)
@@ -530,3 +572,41 @@ class TestSkeletonValidation:
         with pytest.raises(StructureError, match="not a forest"):
             Skeleton(groups=[[0], [1], [2]],
                      tree_edges=[(0, 1), (1, 2), (0, 2)])
+
+
+class TestMemory:
+    """On short documents one dense (N, K) float64 copy of the corpus is large
+    next to its nonzeros; no whole-corpus stage may allocate one."""
+
+    n_docs, n_words, n_groups = 8000, 1000, 10
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return sparse_topic_corpus(self.n_docs, 3, n_words=self.n_words,
+                                   n_groups=self.n_groups, doc_len_range=(3, 12),
+                                   activation_p=0.3).corpus
+
+    def peak_bytes(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def dense_copy_bytes(self):
+        return self.n_docs * self.n_words * 8
+
+    def test_build_skeleton(self, corpus):
+        peak = self.peak_bytes(lambda: build_skeleton(corpus))
+        assert peak < self.dense_copy_bytes()
+
+    def test_build_cmi_table(self, corpus):
+        size = self.n_words // self.n_groups
+        skeleton = Skeleton(
+            groups=[range(g * size, (g + 1) * size) for g in range(self.n_groups)],
+            tree_edges=[(g, g + 1) for g in range(self.n_groups - 1)],
+        )
+        model = init_sbm_model(corpus, skeleton.to_structure(), TrainConfig())
+        peak = self.peak_bytes(lambda: build_cmi_table(model, corpus))
+        assert peak < self.dense_copy_bytes()
