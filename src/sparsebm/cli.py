@@ -74,7 +74,7 @@ def _load_any_model(path):
     on its mask's structure."""
     kind = _model_kind(path)
     if kind == "rs-model":
-        return pruning.load_pruned_rs(path)[0]
+        return rs_mod.load_rs_model(path)
     if kind == "sbm-model":
         return sbm_mod.load_sbm_model(path)
     raise SparsebmError(f"{path}: unsupported model kind {kind!r}")
@@ -267,7 +267,7 @@ def _expand(corpus, skeleton, tree_model_path, output, cmi_out, *, add, fraction
 def _prune(model, corpus, output, log_out, *, prune):
     """Returns the prune result and the files written."""
     result = pruning.prune_and_retrain(model, corpus, prune)
-    pruning.save_pruned_rs(result.model, result.mask, output)
+    rs_mod.save_rs_model(result.model, output)
     outputs = [output]
     if log_out:
         pruning.save_iteration_log(result, log_out)
@@ -383,7 +383,7 @@ def cmd_prune(args):
     corpus = _load_corpus(args.corpus)
     if _model_kind(args.model) != "rs-model":
         raise SparsebmError("prune expects an RS model")
-    model, _ = pruning.load_pruned_rs(args.model)
+    model = rs_mod.load_rs_model(args.model)
     _check_vocab(model, args.model, corpus)
     if args.target is not None:
         target = args.target

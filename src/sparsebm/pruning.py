@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .errors import FileFormatError, StructureError
-from .replicated_softmax import load_rs_model, save_rs_model
+from .replicated_softmax import RsModel, load_rs_model, save_rs_model
 from .sbm import SbmModel, SbmStructure, TrainConfig, sbm_fit
 from .util import check_int, rng_from
 
@@ -124,44 +123,12 @@ def save_iteration_log(result: PruneResult, path) -> None:
 
 
 def save_pruned_rs(model: SbmModel, mask: np.ndarray, path) -> None:
-    """RsModel serialization plus a [mask] section of surviving (j, k) pairs."""
-    lines = [
-        f"{j} {k}"
-        for j in range(model.n_hidden)
-        for k in np.nonzero(mask[j])[0]
-    ]
-    save_rs_model(model, path, extra_sections=[("mask", lines)])
+    """save_rs_model of the model's parameters on the tree-less structure of mask."""
+    structure = SbmStructure.from_mask(mask, [])
+    save_rs_model(SbmModel(structure, model.W, (), model.a, model.b), path)
 
 
 def load_pruned_rs(path):
-    """Returns (model, mask); mask is None when the file has no mask section.
-
-    With a mask the model lives on the mask's tree-less structure. Mask
-    entries out of range and non-zero weights outside the mask are refused.
-    """
-    model, sections = load_rs_model(path, return_sections=True)
-    if "mask" not in sections:
-        return model, None
-    f, k = model.W.shape
-    mask = np.zeros((f, k), dtype=bool)
-    for line in sections["mask"]:
-        try:
-            j, v = (int(tok) for tok in line.split())
-        except ValueError:
-            raise FileFormatError(f"{path}: malformed mask entry {line!r}") from None
-        if not (0 <= j < f and 0 <= v < k):
-            raise FileFormatError(
-                f"{path}: mask entry {line!r} out of range for F={f}, K={k}"
-            )
-        mask[j, v] = True
-    off = np.argwhere((model.W != 0.0) & ~mask)
-    if off.size:
-        j, v = off[0]
-        raise FileFormatError(
-            f"{path}: weight W[{j}, {v}] = {float(model.W[j, v])!r} lies outside the mask"
-        )
-    try:
-        structure = SbmStructure.from_mask(mask, [])
-    except StructureError as exc:
-        raise FileFormatError(f"{path}: [mask] {exc}") from None
-    return SbmModel(structure, model.W, (), model.a, model.b), mask
+    """(model, mask) of load_rs_model; mask is None for a dense RsModel."""
+    model = load_rs_model(path)
+    return model, None if isinstance(model, RsModel) else model.structure.mask().copy()

@@ -4,13 +4,15 @@ A document of length D is modelled by D softmax visible units sharing one
 weight matrix; hidden biases scale with D. This is the sparse Boltzmann
 machine with every hidden unit connected to every word and no hidden tree,
 so the functions here are thin adapters over `sbm`, with their own random
-streams, plus the "rs-model" file format.
+streams, plus the "rs-model" file format, which also holds the tree-less
+models of the pruning baseline.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .corpus import Corpus, Document
+from .errors import FileFormatError, StructureError
 from .sbm import (  # noqa: F401  (TrainConfig is re-exported)
     SbmModel,
     SbmStructure,
@@ -48,13 +50,6 @@ class RsModel(SbmModel):
         a = np.asarray(a, dtype=np.float64).ravel()
         b = np.asarray(b, dtype=np.float64).ravel()
         super().__init__(SbmStructure.full(a.size, b.size), W, (), a, b)
-
-
-def _with_mask(model, mask):
-    """The model over the tree-less structure of a boolean (F, K) mask."""
-    if mask is None:
-        return model
-    return SbmModel(SbmStructure.from_mask(mask, []), model.W, (), model.a, model.b)
 
 
 # a tree-less model has no tree term, so the SBM energy is the RS energy
@@ -116,19 +111,19 @@ def rs_fit(
     config: TrainConfig,
     epochs: int | None = None,
     rng: np.random.Generator | None = None,
-    mask: np.ndarray | None = None,
     epoch_offset: int = 0,
 ):
     """Run CD training epochs on a copy of the model and return it.
 
-    A boolean mask restricts training to its connections, with every other
-    weight held at exactly zero. epoch_offset shifts the minibatch shuffle
-    stream so that resumed training (e.g. prune/retrain cycles) does not
-    replay earlier epochs' batch orders.
+    A model on a tree-less structure that lacks some connections (a pruned
+    model) trains only those it has, every other weight held at exactly
+    zero. epoch_offset shifts the minibatch shuffle stream so that resumed
+    training (e.g. prune/retrain cycles) does not replay earlier epochs'
+    batch orders.
     """
     if rng is None:
         rng = rng_from(config.seed, _CD_STREAM)
-    return sbm_fit(_with_mask(model, mask), corpus, config, epochs, rng, epoch_offset)
+    return sbm_fit(model, corpus, config, epochs, rng, epoch_offset)
 
 
 def rs_train(corpus: Corpus, n_hidden: int, config: TrainConfig):
@@ -139,27 +134,63 @@ def rs_train(corpus: Corpus, n_hidden: int, config: TrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# the rs-model file: dense W, a and b, plus optional extra sections
+# the rs-model file: dense W, a and b of a tree-less model, plus a [mask] of
+# its structure's (j, k) pairs in row-major order when some unit lacks a word
 
 
-def save_rs_model(model, path, extra_sections=()) -> None:
+def save_rs_model(model, path) -> None:
+    """Write a tree-less model, with [mask] only when its structure is not
+    full. Tree couplings and non-zero weights outside the structure, which
+    the file could not give back, are refused."""
+    mask = model.structure.mask()
+    if model.structure.n_tree_edges:
+        raise ValueError("an rs-model file cannot hold a model with tree couplings")
+    off = np.argwhere((model.W != 0.0) & ~mask)
+    if off.size:
+        j, k = off[0]
+        raise ValueError(f"weight W[{j}, {k}] = {float(model.W[j, k])!r} lies outside"
+                         " the model's structure")
     sections = [
         ("dims", [f"F {model.n_hidden}", f"K {model.n_visible}"]),
         ("W", [" ".join(_fmt(x) for x in row) for row in model.W]),
         ("a", [" ".join(_fmt(x) for x in model.a)]),
         ("b", [" ".join(_fmt(x) for x in model.b)]),
     ]
-    sections.extend(extra_sections)
+    if not mask.all():
+        sections.append(("mask", [f"{j} {k}" for j, k in np.argwhere(mask)]))
     write_sections(path, "rs-model", sections)
 
 
-def load_rs_model(path, return_sections: bool = False):
+def load_rs_model(path):
+    """An RsModel, or with [mask] the tree-less SbmModel on the mask's
+    structure. Malformed or out-of-range mask entries, non-zero weights
+    outside the mask and a unit with no entry are refused."""
     sections = read_sections(path, "rs-model")
     f, k = _parse_dims(sections, path, "F", "K")
     w = _parse_vector(sections, "W", f * k, path).reshape(f, k)
     a = _parse_vector(sections, "a", f, path)
     b = _parse_vector(sections, "b", k, path)
-    model = RsModel(w, a, b)
-    if return_sections:
-        return model, sections
-    return model
+    if "mask" not in sections:
+        return RsModel(w, a, b)
+    mask = np.zeros((f, k), dtype=bool)
+    for line in sections["mask"]:
+        try:
+            j, v = (int(tok) for tok in line.split())
+        except ValueError:
+            raise FileFormatError(f"{path}: malformed mask entry {line!r}") from None
+        if not (0 <= j < f and 0 <= v < k):
+            raise FileFormatError(
+                f"{path}: mask entry {line!r} out of range for F={f}, K={k}"
+            )
+        mask[j, v] = True
+    off = np.argwhere((w != 0.0) & ~mask)
+    if off.size:
+        j, v = off[0]
+        raise FileFormatError(
+            f"{path}: weight W[{j}, {v}] = {float(w[j, v])!r} lies outside the mask"
+        )
+    try:
+        structure = SbmStructure.from_mask(mask, [])
+    except StructureError as exc:
+        raise FileFormatError(f"{path}: [mask] {exc}") from None
+    return SbmModel(structure, w, (), a, b)

@@ -375,21 +375,13 @@ def cmi_from_joint(joint: np.ndarray) -> float:
 
 def _skeleton_owner(structure: SbmStructure) -> np.ndarray:
     """Owner map for a skeleton-shaped structure (a partition of the words)."""
-    owner = np.full(structure.n_visible, -1, dtype=np.int64)
-    for j in range(structure.n_hidden):
-        for v in structure.visible_indices(j):
-            if owner[v] != -1:
-                raise ValueError(
-                    "tree model structure is not a skeleton: visible"
-                    f" {int(v)} has several hidden owners"
-                )
-            owner[v] = j
-    if np.any(owner < 0):
-        missing = int(np.nonzero(owner < 0)[0][0])
-        raise ValueError(
-            f"tree model structure is not a skeleton: visible {missing} unowned"
-        )
-    return owner
+    mask = structure.mask()
+    owners = mask.sum(axis=0)
+    for bad, what in ((owners > 1, "has several hidden owners"), (owners == 0, "unowned")):
+        if bad.any():
+            raise ValueError("tree model structure is not a skeleton:"
+                             f" visible {int(np.argmax(bad))} {what}")
+    return mask.argmax(axis=0)
 
 
 def _pair_joints(model: SbmModel, counts: np.ndarray, conditioners):
@@ -436,6 +428,7 @@ def _pair_joints(model: SbmModel, counts: np.ndarray, conditioners):
 
 
 _CMI_CHUNK = 2048
+_CMI_SCORE_BLOCK = 8  # units per _cmi call, which makes temporaries of its input's size
 
 
 def _count_chunks(corpus: Corpus):
@@ -468,7 +461,9 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
             both = np.concatenate([~present, present], axis=1).astype(np.float64)
             acc[:, :, :, members] += (joint.reshape(4 * f, -1) @ both).reshape(f, 4, 2, -1)
 
-    score = _cmi(acc.reshape(f, 2, 2, 2, k).transpose(0, 4, 1, 2, 3))
+    joints = acc.reshape(f, 2, 2, 2, k).transpose(0, 4, 1, 2, 3)
+    score = np.concatenate([_cmi(joints[j:j + _CMI_SCORE_BLOCK])
+                            for j in range(0, f, _CMI_SCORE_BLOCK)])
     scores = []
     for j in range(f):
         words = np.flatnonzero(owner != j)

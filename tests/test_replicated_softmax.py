@@ -20,6 +20,7 @@ from sparsebm.replicated_softmax import (
     rs_visible_softmax,
     save_rs_model,
 )
+from sparsebm.sbm import SbmModel, SbmStructure
 from sparsebm.util import rng_from
 
 from conftest import brute_posterior, hidden_states, random_doc, random_rs_model
@@ -250,8 +251,68 @@ class TestTrain:
                              learning_rate=0.1, weight_init_std=0.05)
         model = init_rs_model(tiny_corpus, 2, config)
         mask = np.array([[True, False, True], [False, True, True]])
-        out = rs_fit(model, tiny_corpus, config, mask=mask)
+        masked = SbmModel(SbmStructure.from_mask(mask, []), np.where(mask, model.W, 0.0),
+                          (), model.a, model.b)
+        out = rs_fit(masked, tiny_corpus, config)
+        assert np.array_equal(out.structure.mask(), mask)
         assert np.all(out.W[~mask] == 0.0)
+        assert np.all(out.W[mask] != 0.0)
+
+
+def masked_model(rng, mask, tree_edges=()):
+    """A model with random parameters on the structure of a boolean mask."""
+    mask = np.asarray(mask, dtype=bool)
+    dense = random_rs_model(rng, *mask.shape)
+    return SbmModel(SbmStructure.from_mask(mask, tree_edges), np.where(mask, dense.W, 0.0),
+                    rng.normal(size=len(tree_edges)), dense.a, dense.b)
+
+
+class TestMaskedSerialization:
+    MASK = [[True, False, True], [False, True, True]]
+
+    def test_pruned_file_loads_on_the_mask_structure(self, tmp_path, tiny_corpus):
+        from sparsebm.pruning import save_pruned_rs
+        from sparsebm.replicated_softmax import rs_fit
+
+        model = masked_model(np.random.default_rng(4), self.MASK)
+        save_pruned_rs(model, np.array(self.MASK), tmp_path / "m.rs")
+        loaded = load_rs_model(tmp_path / "m.rs")
+        assert loaded.structure == model.structure
+        assert loaded.structure.n_tree_edges == 0
+        # training the loaded model keeps the pruned weights at zero
+        out = rs_fit(loaded, tiny_corpus, TrainConfig(epochs=2, batch_size=4, seed=1))
+        assert np.all(out.W[~np.array(self.MASK)] == 0.0)
+
+    def test_masked_model_round_trips_bit_for_bit(self, tmp_path):
+        model = masked_model(np.random.default_rng(5), self.MASK)
+        save_rs_model(model, tmp_path / "m.rs")
+        assert "[mask]\n0 0\n0 2\n1 1\n1 2\n" in (tmp_path / "m.rs").read_text()
+        loaded = load_rs_model(tmp_path / "m.rs")
+        assert not isinstance(loaded, RsModel)
+        assert loaded.structure == model.structure
+        for name in ("W", "Wt", "a", "b"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+
+    def test_full_structure_writes_no_mask(self, tmp_path):
+        model = masked_model(np.random.default_rng(6), np.ones((2, 3)))
+        save_rs_model(model, tmp_path / "m.rs")
+        assert "[mask]" not in (tmp_path / "m.rs").read_text()
+        loaded = load_rs_model(tmp_path / "m.rs")
+        assert isinstance(loaded, RsModel)
+        assert np.array_equal(loaded.W, model.W)
+
+    def test_tree_couplings_refused(self, tmp_path):
+        model = masked_model(np.random.default_rng(7), self.MASK, tree_edges=[(0, 1)])
+        with pytest.raises(ValueError, match="tree couplings"):
+            save_rs_model(model, tmp_path / "m.rs")
+        assert not (tmp_path / "m.rs").exists()
+
+    def test_weight_outside_the_structure_refused(self, tmp_path):
+        model = masked_model(np.random.default_rng(8), self.MASK)
+        model.W[1, 0] = 0.25
+        with pytest.raises(ValueError, match=r"W\[1, 0\] = 0\.25 lies outside"):
+            save_rs_model(model, tmp_path / "m.rs")
+        assert not (tmp_path / "m.rs").exists()
 
 
 class TestSerialization:

@@ -337,6 +337,20 @@ class TestEstimateCmi:
         score = estimate_cmi(model, corpus, j=0, v=2)
         assert score <= 0.005
 
+    @pytest.mark.parametrize("edges, message", [
+        # words 1 and 2 both have two owners; the lowest of them is named
+        ([(0, 0), (0, 2), (1, 1), (1, 2), (2, 1), (2, 3)], "visible 1 has several hidden owners"),
+        ([(0, 0), (1, 2), (2, 3)], "visible 1 unowned"),
+    ])
+    def test_tree_model_not_a_skeleton_rejected(self, edges, message):
+        model = SbmModel(SbmStructure(3, 4, edges, [(0, 1), (1, 2)]), np.zeros((3, 4)),
+                         [0.5, 0.5], np.zeros(3), np.zeros(4))
+        corpus = Corpus(["w0", "w1", "w2", "w3"], [Document([0, 1], [1, 2])])
+        with pytest.raises(ValueError, match=f"not a skeleton: {message}"):
+            build_cmi_table(model, corpus)
+        with pytest.raises(ValueError, match=f"not a skeleton: {message}"):
+            estimate_cmi(model, corpus, j=0, v=2)
+
     def test_rejects_own_group_word(self):
         model, corpus = copy_construction_model_and_corpus(n_docs=50)
         with pytest.raises(ValueError, match="own group"):
