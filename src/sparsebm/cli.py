@@ -61,23 +61,14 @@ def _load_corpus(prefix):
     return _load_uci(*_corpus_paths(prefix))
 
 
-def _model_kind(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-    if len(header) != 3:
-        raise SparsebmError(f"{path}: not a sparsebm model file")
-    return header[1]
-
-
 def _load_any_model(path):
-    """Sniff the file kind and load the model; a pruned RS model comes back
-    on its mask's structure."""
-    kind = _model_kind(path)
-    if kind == "rs-model":
+    """An rs-model file by its reader, a pruned one on its mask's structure;
+    any other file by the sbm-model reader, which names a wrong kind."""
+    with open(path, encoding="utf-8") as fh:
+        kind = fh.readline().split()[1:2]
+    if kind == ["rs-model"]:
         return rs_mod.load_rs_model(path)
-    if kind == "sbm-model":
-        return sbm_mod.load_sbm_model(path)
-    raise SparsebmError(f"{path}: unsupported model kind {kind!r}")
+    return sbm_mod.load_sbm_model(path)
 
 
 def _check_vocab(model, model_path, corpus):
@@ -153,22 +144,6 @@ def _config_hash(config, input_paths):
     ).hexdigest()
 
 
-def write_manifest(output_path, command, config, seed, inputs, outputs, wall_time):
-    manifest = {
-        "command": command,
-        "config_hash": _config_hash(config, inputs),
-        "seed": seed,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "wall_time_s": wall_time,
-    }
-    path = Path(str(output_path) + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def _train_config_from_args(args):
     return TrainConfig(
         epochs=args.epochs,
@@ -198,14 +173,15 @@ def _add_train_flags(parser):
 
 
 # ---------------------------------------------------------------------------
-# workflow steps, each called by its subcommand and its pipeline stage; a
-# stage hashes exactly the keyword-only settings it passes (see _run_stage)
+# workflow steps, each run through _run_stage by its subcommand and its
+# pipeline stage; a step prints a one-line summary and returns the files it
+# wrote, and its stage hashes exactly the keyword-only settings it passes
 
 
 def _prepare(docword, vocab, out, *, select_k, select_method, seed, n_train,
              n_val, n_test):
     """Load a corpus, keep its select_k best words and write it under out as
-    full.*, or split with split_manifest.txt. Returns it and the files written."""
+    full.*, or split with split_manifest.txt."""
     corpus = _load_uci(docword, vocab)
     if select_k is not None:
         corpus = corpus_mod.select_vocab(corpus, select_k, select_method)
@@ -220,16 +196,17 @@ def _prepare(docword, vocab, out, *, select_k, select_method, seed, n_train,
 
     if n_train is None:
         emit("full", corpus)
-        return corpus, outputs
-    split = corpus_mod.split_corpus(corpus, seed, n_train, n_val, n_test)
-    emit("train", split.train)
-    if n_val:
-        emit("validation", split.validation)
-    if n_test:
-        emit("test", split.test)
-    corpus_mod.save_split_manifest(split, out / "split_manifest.txt")
-    outputs.append(out / "split_manifest.txt")
-    return corpus, outputs
+    else:
+        split = corpus_mod.split_corpus(corpus, seed, n_train, n_val, n_test)
+        emit("train", split.train)
+        if n_val:
+            emit("validation", split.validation)
+        if n_test:
+            emit("test", split.test)
+        corpus_mod.save_split_manifest(split, out / "split_manifest.txt")
+        outputs.append(out / "split_manifest.txt")
+    print(f"prepared {corpus.n_docs} documents over {corpus.n_words} words in {out}")
+    return outputs
 
 
 def _skeleton(corpus, output, *, island_max, supergroup_max, mi_floor):
@@ -238,19 +215,24 @@ def _skeleton(corpus, output, *, island_max, supergroup_max, mi_floor):
         mi_floor="auto" if mi_floor == "auto" else float(mi_floor),
     )
     structure_mod.save_skeleton(skeleton, output)
-    return skeleton
+    print(f"skeleton: {skeleton.n_hidden} hidden units,"
+          f" {len(skeleton.tree_edges)} tree edges -> {output}")
+    return [output]
 
 
 def _train_sbm(corpus, structure, output, *, train):
     sbm_mod.save_sbm_model(sbm_mod.sbm_train(corpus, structure, train), output)
+    print(f"trained SBM F={structure.n_hidden} -> {output}")
+    return [output]
 
 
 def _train_rs(corpus, output, *, hidden, train):
     rs_mod.save_rs_model(rs_mod.rs_train(corpus, hidden, train), output)
+    print(f"trained RS model F={hidden} -> {output}")
+    return [output]
 
 
 def _expand(corpus, skeleton, tree_model_path, output, cmi_out, *, add, fraction):
-    """Returns the expanded structure and the files written."""
     tree_model = sbm_mod.load_sbm_model(tree_model_path)
     _check_vocab(tree_model, tree_model_path, corpus)
     table = structure_mod.build_cmi_table(tree_model, corpus)
@@ -261,18 +243,24 @@ def _expand(corpus, skeleton, tree_model_path, output, cmi_out, *, add, fraction
     if cmi_out:
         structure_mod.save_cmi_table(table, cmi_out)
         outputs.append(cmi_out)
-    return expanded, outputs
+    degrees = expanded.degrees()
+    print(f"expanded structure: per-unit degree min={min(degrees)}"
+          f" max={max(degrees)} -> {output}")
+    return outputs
 
 
-def _prune(model, corpus, output, log_out, *, prune):
-    """Returns the prune result and the files written."""
+def _prune(model_path, corpus, output, log_out, *, prune):
+    model = rs_mod.load_rs_model(model_path)
+    _check_vocab(model, model_path, corpus)
     result = pruning.prune_and_retrain(model, corpus, prune)
     rs_mod.save_rs_model(result.model, output)
     outputs = [output]
     if log_out:
         pruning.save_iteration_log(result, log_out)
         outputs.append(log_out)
-    return result, outputs
+    print(f"pruned to {prune.target_per_unit} connections per unit over"
+          f" {result.total_epochs} retraining epochs -> {output}")
+    return outputs
 
 
 def _held_out_docs(corpus, max_docs, seed):
@@ -283,6 +271,57 @@ def _held_out_docs(corpus, max_docs, seed):
         idx = picker.choice(len(docs), size=max_docs, replace=False)
         docs = [docs[i] for i in sorted(idx)]
     return docs
+
+
+def _eval(model_path, docs_prefix, output, *, ais_runs, schedule, exact, max_docs,
+          include_multinomial, seed):
+    """Per-document held-out log-probabilities, written to output if given,
+    and the per-word perplexity over them."""
+    model = _load_any_model(model_path)
+    corpus = _load_corpus(docs_prefix)
+    _check_vocab(model, model_path, corpus)
+    docs = _held_out_docs(corpus, max_docs, seed)
+    lp, _ = evaluation.held_out_log_probs(
+        model, docs, schedule, ais_runs, rng_from(seed, _EVAL_STREAM),
+        include_multinomial, evaluation.exact_log_z if exact else None,
+    )
+    ppl = evaluation.per_word_perplexity(lp, docs)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write("doc_id\tD\tlog_p\tper_word_ppl\n")
+            for i, (doc_lp, doc) in enumerate(zip(lp, docs)):
+                fh.write(
+                    f"{i}\t{doc.length}\t{float(doc_lp)!r}"
+                    f"\t{float(np.exp(-doc_lp / doc.length))!r}\n"
+                )
+            fh.write(f"# documents\t{len(docs)}\n")
+            fh.write(f"# perplexity\t{ppl!r}\n")
+    print(f"perplexity {ppl!r} over {len(docs)} documents")
+    return [output] if output else []
+
+
+def _interpret(model_path, vocab_path, embeddings, output, *, top_n):
+    """Each unit's top words and embedding score, written to output if given,
+    and the model's score."""
+    model = _load_any_model(model_path)
+    with open(vocab_path, encoding="utf-8") as fh:
+        vocab = [line.strip() for line in fh if line.strip()]
+    if len(vocab) != model.n_visible:
+        raise SparsebmError(
+            f"vocabulary size {len(vocab)} does not match model K={model.n_visible}"
+        )
+    emb = evaluation.load_embeddings(embeddings)
+    overall = evaluation.interpretability_model(model, vocab, emb, top_n)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write("unit\tscore\ttop_words\n")
+            for j in range(model.n_hidden):
+                words = evaluation.unit_top_words(model, vocab, j, top_n)
+                score = evaluation.interpretability_unit(model, vocab, j, emb, top_n)
+                fh.write(f"{j}\t{score!r}\t{' '.join(words)}\n")
+            fh.write(f"# model_score\t{overall!r}\n")
+    print(f"interpretability {overall!r} over {model.n_hidden} units")
+    return [output] if output else []
 
 
 def _write_report(test_prefix, output, *, models, schedule, ais_runs, seed,
@@ -304,197 +343,147 @@ def _write_report(test_prefix, output, *, models, schedule, ais_runs, seed,
         for variant, f, deg, ppl in rows:
             fh.write(f"{variant}\t{f}\t{deg!r}\t{ppl!r}\n")
             print(f"  {variant}: F={f} degree={deg:.1f} perplexity={ppl:.3f}")
+    return [output]
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_prepare(args):
-    t0 = time.time()
-    config = {
-        "select_k": args.select_k, "select_method": args.select_method,
-        "seed": args.seed, "n_train": args.train, "n_val": args.val,
-        "n_test": args.test,
-    }
-    corpus, outputs = _prepare(args.docword, args.vocab, args.output, **config)
-    write_manifest(Path(args.output) / "prepare", "prepare", config, args.seed,
-                   [args.docword, args.vocab], outputs, time.time() - t0)
-    print(f"prepared {corpus.n_docs} documents over {corpus.n_words} words"
-          f" in {args.output}")
-    return 0
-
-
-def cmd_skeleton(args):
-    t0 = time.time()
-    config = {"island_max": args.island_max, "supergroup_max": args.supergroup_max,
-              "mi_floor": args.mi_floor}
-    skeleton = _skeleton(_load_corpus(args.corpus), args.output, **config)
-    write_manifest(args.output, "skeleton", config, 0,
-                   list(_corpus_paths(args.corpus)), [args.output],
-                   time.time() - t0)
-    print(f"skeleton: {skeleton.n_hidden} hidden units,"
-          f" {len(skeleton.tree_edges)} tree edges -> {args.output}")
-    return 0
-
-
-def cmd_train_rs(args):
-    t0 = time.time()
-    config = {"hidden": args.hidden, "train": _train_config_from_args(args)}
-    _train_rs(_load_corpus(args.corpus), args.output, **config)
-    write_manifest(args.output, "train-rs", config, args.seed,
-                   list(_corpus_paths(args.corpus)), [args.output],
-                   time.time() - t0)
-    print(f"trained RS model F={args.hidden} -> {args.output}")
-    return 0
-
-
-def cmd_train_sbm(args):
-    t0 = time.time()
-    corpus = _load_corpus(args.corpus)
-    struct = _load_any_structure(args.structure, corpus.n_words)
-    config = {"train": _train_config_from_args(args)}
-    _train_sbm(corpus, struct, args.output, **config)
-    write_manifest(args.output, "train-sbm", config, args.seed,
-                   [*_corpus_paths(args.corpus), args.structure], [args.output],
-                   time.time() - t0)
-    print(f"trained SBM F={struct.n_hidden} -> {args.output}")
-    return 0
-
-
-def cmd_expand(args):
-    t0 = time.time()
-    corpus = _load_corpus(args.corpus)
-    skeleton = structure_mod.load_skeleton(args.skeleton, corpus.n_words)
-    config = {"add": args.add, "fraction": args.fraction}
-    expanded, outputs = _expand(corpus, skeleton, args.tree_model, args.output,
-                                args.cmi_out, **config)
-    degrees = expanded.degrees()
-    write_manifest(args.output, "expand", config, 0,
-                   [*_corpus_paths(args.corpus), args.skeleton, args.tree_model],
-                   outputs, time.time() - t0)
-    print(f"expanded structure: per-unit degree min={min(degrees)}"
-          f" max={max(degrees)} -> {args.output}")
-    return 0
-
-
-def cmd_prune(args):
-    t0 = time.time()
-    corpus = _load_corpus(args.corpus)
-    if _model_kind(args.model) != "rs-model":
-        raise SparsebmError("prune expects an RS model")
-    model = rs_mod.load_rs_model(args.model)
-    _check_vocab(model, args.model, corpus)
-    if args.target is not None:
-        target = args.target
-    else:
-        target = int(np.ceil(args.target_fraction * model.n_visible))
-    config = {"prune": pruning.PruneConfig(
-        target_per_unit=target, prune_fraction=args.prune_fraction,
-        retrain_epochs_per_iter=args.retrain_epochs,
-        train=_train_config_from_args(args),
-    )}
-    result, outputs = _prune(model, corpus, args.output, args.log_out, **config)
-    write_manifest(args.output, "prune", config, args.seed,
-                   [*_corpus_paths(args.corpus), args.model], outputs,
-                   time.time() - t0)
-    print(f"pruned to {target} connections per unit over {result.total_epochs}"
-          f" retraining epochs -> {args.output}")
-    return 0
-
-
-def cmd_eval(args):
-    t0 = time.time()
-    model = _load_any_model(args.model)
-    corpus = _load_corpus(args.docs)
-    _check_vocab(model, args.model, corpus)
-    docs = _held_out_docs(corpus, args.max_docs, args.seed)
-    lp, _ = evaluation.held_out_log_probs(
-        model, docs, args.schedule, args.ais_runs,
-        rng_from(args.seed, _EVAL_STREAM), args.include_multinomial,
-        evaluation.exact_log_z if args.exact else None,
-    )
-    ppl = evaluation.per_word_perplexity(lp, docs)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("doc_id\tD\tlog_p\tper_word_ppl\n")
-            for i, (doc_lp, doc) in enumerate(zip(lp, docs)):
-                fh.write(
-                    f"{i}\t{doc.length}\t{float(doc_lp)!r}"
-                    f"\t{float(np.exp(-doc_lp / doc.length))!r}\n"
-                )
-            fh.write(f"# documents\t{len(docs)}\n")
-            fh.write(f"# perplexity\t{ppl!r}\n")
-        write_manifest(args.output, "eval",
-                       {"ais_runs": args.ais_runs, "schedule": args.schedule,
-                        "exact": args.exact, "max_docs": args.max_docs,
-                        "include_multinomial": args.include_multinomial},
-                       args.seed, [args.model, *_corpus_paths(args.docs)],
-                       [args.output], time.time() - t0)
-    print(f"perplexity {ppl!r} over {len(docs)} documents")
-    return 0
-
-
-def cmd_interpret(args):
-    t0 = time.time()
-    model = _load_any_model(args.model)
-    vocab_path = Path(args.vocab)
-    if not vocab_path.exists():
-        vocab_path = _corpus_paths(args.vocab)[1]
-    with open(vocab_path, encoding="utf-8") as fh:
-        vocab = [line.strip() for line in fh if line.strip()]
-    if len(vocab) != model.n_visible:
-        raise SparsebmError(
-            f"vocabulary size {len(vocab)} does not match model K={model.n_visible}"
-        )
-    emb = evaluation.load_embeddings(args.embeddings)
-    rows = []
-    for j in range(model.n_hidden):
-        words = evaluation.unit_top_words(model, vocab, j, args.top_n)
-        score = evaluation.interpretability_unit(model, vocab, j, emb, args.top_n)
-        rows.append((j, score, words))
-    overall = evaluation.interpretability_model(model, vocab, emb, args.top_n)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("unit\tscore\ttop_words\n")
-            for j, score, words in rows:
-                fh.write(f"{j}\t{score!r}\t{' '.join(words)}\n")
-            fh.write(f"# model_score\t{overall!r}\n")
-        write_manifest(args.output, "interpret", {"top_n": args.top_n}, 0,
-                       [args.model, vocab_path, args.embeddings], [args.output],
-                       time.time() - t0)
-    print(f"interpretability {overall!r} over {model.n_hidden} units")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-
-
-def _stage_fresh(out_path, expected_hash):
+def _stage_fresh(manifest_path, expected_hash):
     try:
-        with open(f"{out_path}.manifest.json", encoding="utf-8") as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return False
-    return Path(out_path).exists() and manifest.get("config_hash") == expected_hash
+    return (manifest.get("config_hash") == expected_hash
+            and all(Path(p).exists() for p in manifest.get("outputs", [])))
 
 
 def _run_stage(name, out_path, config, seed, inputs, force, step):
-    """Run step(**config) unless the cached output matches the hash of config
-    and the input files. Returns whether the step ran."""
-    if not force and _stage_fresh(out_path, _config_hash(config, inputs)):
+    """Run step(**config) and record the files it returns, with the hash of
+    config, the input files and the code, in out_path.manifest.json; without
+    out_path nothing is recorded. Unless forced, the step is skipped when that
+    manifest holds the same hash and every file it lists exists. Returns
+    whether the step ran."""
+    manifest_path = None if out_path is None else Path(f"{out_path}.manifest.json")
+    config_hash = None if manifest_path is None else _config_hash(config, inputs)
+    if not force and _stage_fresh(manifest_path, config_hash):
         print(f"[{name}] cached")
         return False
     t0 = time.time()
     try:
-        step(**config)
+        outputs = step(**config)
     except (SparsebmError, ValueError, OSError) as exc:
-        raise SparsebmError(f"pipeline stage {name!r} failed: {exc}") from exc
-    write_manifest(out_path, name, config, seed, inputs, [out_path],
-                   time.time() - t0)
-    print(f"[{name}] done in {time.time() - t0:.1f}s")
+        raise SparsebmError(f"stage {name!r} failed: {exc}") from exc
+    wall_time = time.time() - t0
+    if manifest_path is not None:
+        manifest = {
+            "command": name, "config_hash": config_hash, "seed": seed,
+            "inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs],
+            "wall_time_s": wall_time,
+        }
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    print(f"[{name}] done in {wall_time:.1f}s")
     return True
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each runs its step once, always, and records a manifest only
+# when it writes to -o
+
+
+def cmd_prepare(args):
+    _run_stage(
+        "prepare", Path(args.output) / "prepare",
+        {"select_k": args.select_k, "select_method": args.select_method,
+         "seed": args.seed, "n_train": args.train, "n_val": args.val,
+         "n_test": args.test},
+        args.seed, [args.docword, args.vocab], True,
+        functools.partial(_prepare, args.docword, args.vocab, args.output),
+    )
+
+
+def cmd_skeleton(args):
+    _run_stage(
+        "skeleton", args.output,
+        {"island_max": args.island_max, "supergroup_max": args.supergroup_max,
+         "mi_floor": args.mi_floor},
+        0, _corpus_paths(args.corpus), True,
+        functools.partial(_skeleton, _load_corpus(args.corpus), args.output),
+    )
+
+
+def cmd_train_rs(args):
+    _run_stage(
+        "train-rs", args.output,
+        {"hidden": args.hidden, "train": _train_config_from_args(args)},
+        args.seed, _corpus_paths(args.corpus), True,
+        functools.partial(_train_rs, _load_corpus(args.corpus), args.output),
+    )
+
+
+def cmd_train_sbm(args):
+    corpus = _load_corpus(args.corpus)
+    structure = _load_any_structure(args.structure, corpus.n_words)
+    _run_stage(
+        "train-sbm", args.output, {"train": _train_config_from_args(args)},
+        args.seed, [*_corpus_paths(args.corpus), args.structure], True,
+        functools.partial(_train_sbm, corpus, structure, args.output),
+    )
+
+
+def cmd_expand(args):
+    corpus = _load_corpus(args.corpus)
+    skeleton = structure_mod.load_skeleton(args.skeleton, corpus.n_words)
+    _run_stage(
+        "expand", args.output, {"add": args.add, "fraction": args.fraction}, 0,
+        [*_corpus_paths(args.corpus), args.skeleton, args.tree_model], True,
+        functools.partial(_expand, corpus, skeleton, args.tree_model, args.output,
+                          args.cmi_out),
+    )
+
+
+def cmd_prune(args):
+    corpus = _load_corpus(args.corpus)
+    target = args.target
+    if target is None:  # the model's K, which _prune checks against the corpus
+        target = int(np.ceil(args.target_fraction * corpus.n_words))
+    prune = pruning.PruneConfig(
+        target_per_unit=target, prune_fraction=args.prune_fraction,
+        retrain_epochs_per_iter=args.retrain_epochs,
+        train=_train_config_from_args(args),
+    )
+    _run_stage(
+        "prune", args.output, {"prune": prune}, args.seed,
+        [*_corpus_paths(args.corpus), args.model], True,
+        functools.partial(_prune, args.model, corpus, args.output, args.log_out),
+    )
+
+
+def cmd_eval(args):
+    _run_stage(
+        "eval", args.output,
+        {"ais_runs": args.ais_runs, "schedule": args.schedule, "exact": args.exact,
+         "max_docs": args.max_docs, "include_multinomial": args.include_multinomial,
+         "seed": args.seed},
+        args.seed, [args.model, *_corpus_paths(args.docs)], True,
+        functools.partial(_eval, args.model, args.docs, args.output),
+    )
+
+
+def cmd_interpret(args):
+    vocab_path = Path(args.vocab)
+    if not vocab_path.exists():
+        vocab_path = _corpus_paths(args.vocab)[1]
+    _run_stage(
+        "interpret", args.output, {"top_n": args.top_n}, 0,
+        [args.model, vocab_path, args.embeddings], True,
+        functools.partial(_interpret, args.model, vocab_path, args.embeddings,
+                          args.output),
+    )
+
+
+# ---------------------------------------------------------------------------
+# pipeline
 
 
 _VARIANTS = ("rs_plus", "rs_plus_sfc", "rs_plus_pruned", "sbm_sfc")
@@ -677,11 +666,10 @@ def cmd_pipeline(args):
     if "rs_plus_pruned" in variants:
         path = model_paths["rs_plus_pruned"] = out / "rs_plus_pruned.rs"
         prune = prune_config(int(expanded.degrees().max()))
-        _run_stage(
-            "rs-plus-pruned", path, {"prune": prune}, seed, [*train_files, rs_path],
-            force, lambda prune: _prune(_load_any_model(rs_path), train_corpus, path,
-                                        out / "prune_log.tsv", prune=prune),
-        )
+        _run_stage("rs-plus-pruned", path, {"prune": prune}, seed,
+                   [*train_files, rs_path], force,
+                   functools.partial(_prune, rs_path, train_corpus, path,
+                                     out / "prune_log.tsv"))
 
     report_path = out / "report.tsv"
     eval_params["models"] = {v: str(p) for v, p in model_paths.items()}
@@ -689,7 +677,6 @@ def cmd_pipeline(args):
                [*sorted(model_paths.values()), *_corpus_paths(test_prefix)], force,
                functools.partial(_write_report, test_prefix, report_path))
     print(f"pipeline complete: {report_path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +792,15 @@ def cmd_dispatch(argv):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        args.func(args)
     except (SparsebmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main(argv=None):
-    return sys.exit(cmd_dispatch(sys.argv[1:] if argv is None else argv))
+    sys.exit(cmd_dispatch(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

@@ -163,8 +163,8 @@ def save_rs_model(model, path) -> None:
 
 def load_rs_model(path):
     """An RsModel, or with [mask] the tree-less SbmModel on the mask's
-    structure. Malformed or out-of-range mask entries, non-zero weights
-    outside the mask and a unit with no entry are refused."""
+    structure. Malformed, out-of-range or repeated mask entries, non-zero
+    weights outside the mask and a unit with no entry are refused."""
     sections = read_sections(path, "rs-model")
     f, k = _parse_dims(sections, path, "F", "K")
     w = _parse_vector(sections, "W", f * k, path).reshape(f, k)
@@ -182,6 +182,8 @@ def load_rs_model(path):
             raise FileFormatError(
                 f"{path}: mask entry {line!r} out of range for F={f}, K={k}"
             )
+        if mask[j, v]:
+            raise FileFormatError(f"{path}: duplicate mask entry {line!r}")
         mask[j, v] = True
     off = np.argwhere((w != 0.0) & ~mask)
     if off.size:

@@ -827,6 +827,8 @@ def _parse_dims(sections, path, *names):
     for name in names:
         if name not in dims:
             raise FileFormatError(f"{path}: [dims] missing {name}")
+        if dims[name] < 1:
+            raise FileFormatError(f"{path}: [dims] {name} is {dims[name]}, want at least 1")
     return tuple(dims[n] for n in names)
 
 

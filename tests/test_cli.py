@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +113,25 @@ class TestDispatch:
         assert "bad.rs" in err and "out of range" in err
 
 
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["--help"], 0, "stdout", "usage"),
+        (["frobnicate"], 1, "stderr", "usage"),
+        (["skeleton", "--corpus", "ghost", "-o", "s.txt"], 2, "stderr", "ghost"),
+    ])
+    def test_module_exit_status(self, tmp_path, argv, code, stream, text):
+        import sparsebm
+
+        src = str(Path(sparsebm.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparsebm.cli", *argv], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == code
+        assert text in getattr(proc, stream)
+
+
 class TestVocabularyMismatch:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -150,6 +174,15 @@ class TestVocabularyMismatch:
         assert "K=6" in err and f"K={k}" in err
         assert not out.exists()
 
+    def test_prune_refuses_an_sbm_model_naming_the_file(self, files, capsys):
+        out = files / "out-prune-sbm"
+        assert run(["prune", "--corpus", files / "k4", "--model", files / "k6.sbm",
+                    "--target", 1, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'prune' failed" in err and "k6.sbm" in err
+        assert "'rs-model'" in err and "'sbm-model'" in err
+        assert not out.exists()
+
 
 class TestPrepare:
     def test_prepare_splits_and_manifests(self, small_corpus_files, tmp_path):
@@ -168,6 +201,10 @@ class TestPrepare:
         assert manifest["command"] == "prepare"
         assert manifest["seed"] == 5
         assert manifest["wall_time_s"] >= 0
+        assert sorted(Path(p).name for p in manifest["outputs"]) == [
+            "split_manifest.txt", "test.docword.txt", "test.vocab.txt",
+            "train.docword.txt", "train.vocab.txt",
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +240,9 @@ class TestWorkflow:
             "--cmi-out", workdir / "cmi.tsv", "-o", workdir / "expanded.struct",
         ]) == 0
         assert (workdir / "cmi.tsv").read_text().startswith("hidden\tvisible\tscore")
+        manifest = json.loads((workdir / "expanded.struct.manifest.json").read_text())
+        assert manifest["outputs"] == [str(workdir / "expanded.struct"),
+                                       str(workdir / "cmi.tsv")]
         assert run([
             "train-sbm", "--corpus", train, "--structure",
             workdir / "expanded.struct", "--epochs", 10, "--cd-steps", 2,
@@ -328,11 +368,36 @@ class TestPipeline:
         report = (out_dir / "report.tsv").read_text()
         assert report.startswith("variant\tF\t")
         assert "sbm_sfc" in report and "rs_plus_pruned" in report
+        # every file the run wrote is listed by exactly one stage manifest
+        listed = [Path(p) for m in out_dir.glob("*.manifest.json")
+                  for p in json.loads(m.read_text())["outputs"]]
+        assert sorted(listed) == sorted(
+            p for p in out_dir.iterdir() if not p.name.endswith(".manifest.json"))
         capsys.readouterr()
         # rerun must hit every cache
         assert run(["pipeline", "--config", config_path]) == 0
         output = capsys.readouterr().out
         assert output.count("cached") >= 8
+
+    @pytest.mark.parametrize("name, stage", [
+        ("cmi.tsv", "expand"), ("prune_log.tsv", "rs-plus-pruned"),
+        ("test.docword.txt", "corpus"),
+    ])
+    def test_pipeline_reruns_only_the_stage_whose_file_is_gone(
+            self, small_corpus_files, tmp_path, capsys, name, stage):
+        _, prefix = small_corpus_files
+        out_dir = tmp_path / "run"
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(self.make_config(prefix, out_dir)))
+        assert run(["pipeline", "--config", config_path]) == 0
+        written = (out_dir / name).read_bytes()
+        (out_dir / name).unlink()
+        capsys.readouterr()
+        assert run(["pipeline", "--config", config_path]) == 0
+        output = capsys.readouterr().out
+        assert re.findall(r"\[([\w-]+)\] done in", output) == [stage]
+        assert output.count("] cached") == 8
+        assert (out_dir / name).read_bytes() == written
 
     def test_pipeline_reruns_stages_after_code_change(self, small_corpus_files,
                                                       tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from sparsebm.pruning import (
     save_iteration_log,
     save_pruned_rs,
 )
-from sparsebm.replicated_softmax import RsModel, TrainConfig
+from sparsebm.replicated_softmax import RsModel, TrainConfig, load_rs_model
 
 
 def model_from_weights(weights):
@@ -200,6 +200,15 @@ class TestPrunedInputValidation:
         path = self.write(tmp_path / "m.rs", ["0 0", "5 1"])
         with pytest.raises(FileFormatError, match=r"m\.rs.*'5 1'.*out of range"):
             load_pruned_rs(path)
+
+    def test_repeated_entry_rejected(self, tmp_path):
+        path = tmp_path / "m.rs"
+        path.write_text(
+            "sparsebm rs-model 1\n[dims]\nF 1\nK 2\n[W]\n0.5 0.0\n"
+            "[a]\n0.0\n[b]\n0.0 0.0\n[mask]\n0 0\n0 0\n"
+        )
+        with pytest.raises(FileFormatError, match=r"m\.rs.*duplicate mask entry '0 0'"):
+            load_rs_model(path)
 
     def test_weight_outside_mask_rejected(self, tmp_path):
         path = self.write(tmp_path / "m.rs", ["0 0", "1 0"])

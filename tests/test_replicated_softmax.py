@@ -353,6 +353,21 @@ class TestSerialization:
             load_rs_model(path)
         assert "m.rs" in str(exc.value) and repr(line) in str(exc.value)
 
+    @pytest.mark.parametrize("field, value", [("F", 0), ("K", 0), ("K", -1)])
+    def test_dims_below_one_name_file_and_field(self, tmp_path, field, value):
+        from sparsebm.errors import FileFormatError
+
+        path = tmp_path / "m.rs"
+        save_rs_model(random_rs_model(np.random.default_rng(9), 3, 4), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("[dims]") + 1 + "FK".index(field)
+        assert lines[at].startswith(f"{field} ")
+        lines[at] = f"{field} {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as exc:
+            load_rs_model(path)
+        assert "m.rs" in str(exc.value) and f"{field} is {value}" in str(exc.value)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             RsModel(np.zeros((2, 3)), np.zeros(3), np.zeros(3))

@@ -692,6 +692,24 @@ class TestModelSerialization:
             load_sbm_model(path)
         assert "m.sbm" in str(exc.value) and repr(line) in str(exc.value)
 
+    @pytest.mark.parametrize("field, value", [("F", 0), ("K", 0), ("F", -2)])
+    @pytest.mark.parametrize("kind", ["model", "structure"])
+    def test_dims_below_one_name_file_and_field(self, tmp_path, kind, field, value):
+        rng = np.random.default_rng(18)
+        path = tmp_path / f"{kind}.txt"
+        if kind == "model":
+            save_sbm_model(random_sbm_model(rng, 3, 5), path)
+        else:
+            save_structure(random_structure(rng, 3, 5), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("[dims]") + 1 + "FK".index(field)
+        assert lines[at].startswith(f"{field} ")
+        lines[at] = f"{field} {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as exc:
+            (load_sbm_model if kind == "model" else load_structure)(path)
+        assert f"{kind}.txt" in str(exc.value) and f"{field} is {value}" in str(exc.value)
+
     @pytest.mark.parametrize("section, line", [
         ("dims", "K 5.5"), ("visible_edges", "0 zz"), ("tree_edges", "0 1 2"),
     ])
