@@ -273,10 +273,11 @@ def _held_out_docs(corpus, max_docs, seed):
     return docs
 
 
-def _eval(model_path, docs_prefix, output, *, ais_runs, schedule, exact, max_docs,
-          include_multinomial, seed):
-    """Per-document held-out log-probabilities, written to output if given,
-    and the per-word perplexity over them."""
+def _score(model_path, docs_prefix, *, ais_runs, schedule, exact, max_docs,
+           include_multinomial, seed):
+    """(model, documents, per-document log-probabilities, per-word perplexity)
+    of a model file on held-out documents; every model's AIS draws from
+    rng_from(seed, _EVAL_STREAM)."""
     model = _load_any_model(model_path)
     corpus = _load_corpus(docs_prefix)
     _check_vocab(model, model_path, corpus)
@@ -285,7 +286,13 @@ def _eval(model_path, docs_prefix, output, *, ais_runs, schedule, exact, max_doc
         model, docs, schedule, ais_runs, rng_from(seed, _EVAL_STREAM),
         include_multinomial, evaluation.exact_log_z if exact else None,
     )
-    ppl = evaluation.per_word_perplexity(lp, docs)
+    return model, docs, lp, evaluation.per_word_perplexity(lp, docs)
+
+
+def _eval(model_path, docs_prefix, output, **settings):
+    """_score's per-document log-probabilities, written to output if given,
+    and its perplexity."""
+    _, docs, lp, ppl = _score(model_path, docs_prefix, **settings)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write("doc_id\tD\tlog_p\tper_word_ppl\n")
@@ -308,7 +315,8 @@ def _interpret(model_path, vocab_path, embeddings, output, *, top_n):
         vocab = [line.strip() for line in fh if line.strip()]
     if len(vocab) != model.n_visible:
         raise SparsebmError(
-            f"vocabulary size {len(vocab)} does not match model K={model.n_visible}"
+            f"vocabulary {vocab_path} has {len(vocab)} words but model {model_path}"
+            f" has K={model.n_visible}"
         )
     emb = evaluation.load_embeddings(embeddings)
     overall = evaluation.interpretability_model(model, vocab, emb, top_n)
@@ -324,20 +332,14 @@ def _interpret(model_path, vocab_path, embeddings, output, *, top_n):
     return [output] if output else []
 
 
-def _write_report(test_prefix, output, *, models, schedule, ais_runs, seed,
-                  max_docs, include_multinomial):
-    """One report row per variant, all scored on the same held-out documents."""
-    docs = _held_out_docs(_load_corpus(test_prefix), max_docs, seed)
+def _write_report(test_prefix, output, *, models, **settings):
+    """One report row per variant, each perplexity what eval prints for its
+    model with the same settings."""
     rows = []
-    for idx, (variant, path) in enumerate(sorted(models.items())):
-        model = _load_any_model(path)
-        lp, _ = evaluation.held_out_log_probs(
-            model, docs, schedule, ais_runs, rng_from(seed, _EVAL_STREAM, idx),
-            include_multinomial,
-        )
-        mean_degree = float(model.structure.degrees().mean())
-        rows.append((variant, model.n_hidden, mean_degree,
-                     evaluation.per_word_perplexity(lp, docs)))
+    for variant, path in sorted(models.items()):
+        model, _, _, ppl = _score(path, test_prefix, exact=False, **settings)
+        rows.append((variant, model.n_hidden,
+                     float(model.structure.degrees().mean()), ppl))
     with open(output, "w", encoding="utf-8") as fh:
         fh.write("variant\tF\tmean_visible_degree\ttest_perplexity\n")
         for variant, f, deg, ppl in rows:
@@ -352,16 +354,18 @@ def _stage_fresh(manifest_path, expected_hash):
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return False
+    digests = manifest.get("output_sha256", {})
     return (manifest.get("config_hash") == expected_hash
-            and all(Path(p).exists() for p in manifest.get("outputs", [])))
+            and all(Path(p).exists() and _file_sha256(p) == digests.get(p)
+                    for p in manifest.get("outputs", [])))
 
 
 def _run_stage(name, out_path, config, seed, inputs, force, step):
     """Run step(**config) and record the files it returns, with the hash of
     config, the input files and the code, in out_path.manifest.json; without
     out_path nothing is recorded. Unless forced, the step is skipped when that
-    manifest holds the same hash and every file it lists exists. Returns
-    whether the step ran."""
+    manifest holds the same hash and every file it lists exists with the
+    sha256 it records. Returns whether the step ran."""
     manifest_path = None if out_path is None else Path(f"{out_path}.manifest.json")
     config_hash = None if manifest_path is None else _config_hash(config, inputs)
     if not force and _stage_fresh(manifest_path, config_hash):
@@ -377,6 +381,7 @@ def _run_stage(name, out_path, config, seed, inputs, force, step):
         manifest = {
             "command": name, "config_hash": config_hash, "seed": seed,
             "inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs],
+            "output_sha256": {str(p): _file_sha256(p) for p in outputs},
             "wall_time_s": wall_time,
         }
         with open(manifest_path, "w", encoding="utf-8") as fh:

@@ -3,9 +3,9 @@
 A document of length D is modelled by D softmax visible units sharing one
 weight matrix; hidden biases scale with D. This is the sparse Boltzmann
 machine with every hidden unit connected to every word and no hidden tree,
-so the functions here are thin adapters over `sbm`, with their own random
-streams, plus the "rs-model" file format, which also holds the tree-less
-models of the pruning baseline.
+so the functions here are thin adapters over `sbm`, which trains it with the
+SBM's own random streams, plus the "rs-model" file format, which also holds
+the tree-less models of the pruning baseline.
 """
 from __future__ import annotations
 
@@ -19,21 +19,18 @@ from .sbm import (  # noqa: F401  (TrainConfig is re-exported)
     TrainConfig,
     _check_hidden,
     _fmt,
-    _init_model,
     _parse_dims,
     _parse_vector,
+    init_sbm_model,
     read_sections,
     sbm_cd_gradients,
     sbm_cd_step,
     sbm_energy,
     sbm_fit,
+    sbm_train,
     sbm_tree_marginals,
     write_sections,
 )
-from .util import rng_from
-
-_INIT_STREAM = 21
-_CD_STREAM = 22
 
 
 class RsModel(SbmModel):
@@ -100,37 +97,18 @@ rs_cd_step = sbm_cd_step
 
 
 def init_rs_model(corpus: Corpus, n_hidden: int, config: TrainConfig):
-    """Fresh model: W ~ Normal(0, std^2), biases zero or log-frequency."""
-    structure = SbmStructure.full(n_hidden, corpus.n_words)
-    return _init_model(corpus, structure, config, rng_from(config.seed, _INIT_STREAM))
+    """Fresh model on the full structure, as init_sbm_model makes it."""
+    return init_sbm_model(corpus, SbmStructure.full(n_hidden, corpus.n_words), config)
 
 
-def rs_fit(
-    model,
-    corpus: Corpus,
-    config: TrainConfig,
-    epochs: int | None = None,
-    rng: np.random.Generator | None = None,
-    epoch_offset: int = 0,
-):
-    """Run CD training epochs on a copy of the model and return it.
-
-    A model on a tree-less structure that lacks some connections (a pruned
-    model) trains only those it has, every other weight held at exactly
-    zero. epoch_offset shifts the minibatch shuffle stream so that resumed
-    training (e.g. prune/retrain cycles) does not replay earlier epochs'
-    batch orders.
-    """
-    if rng is None:
-        rng = rng_from(config.seed, _CD_STREAM)
-    return sbm_fit(model, corpus, config, epochs, rng, epoch_offset)
+# CD epochs on a copy of the model; a model on a tree-less structure that
+# lacks some connections (a pruned model) trains only those it has
+rs_fit = sbm_fit
 
 
 def rs_train(corpus: Corpus, n_hidden: int, config: TrainConfig):
-    """Initialise and CD-train a Replicated Softmax model."""
-    if corpus.n_docs == 0:
-        raise ValueError("corpus is empty")
-    return rs_fit(init_rs_model(corpus, n_hidden, config), corpus, config)
+    """sbm_train on the full structure over the corpus's words."""
+    return sbm_train(corpus, SbmStructure.full(n_hidden, corpus.n_words), config)
 
 
 # ---------------------------------------------------------------------------

@@ -696,9 +696,10 @@ def _bias_lr_factor(config: TrainConfig, corpus: Corpus) -> float:
     return float(config.hidden_bias_lr_scale)
 
 
-def _init_model(corpus: Corpus, structure: SbmStructure, config: TrainConfig, rng):
-    """On-structure W ~ Normal(0, std^2), tree weights and hidden biases zero,
-    visible biases zero or log-frequency."""
+def init_sbm_model(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> SbmModel:
+    """Fresh model: on-structure W ~ Normal(0, std^2), tree weights and hidden
+    biases zero, visible biases zero or log-frequency."""
+    rng = rng_from(config.seed, _INIT_STREAM)
     w = rng.normal(
         0.0, config.weight_init_std, size=(structure.n_hidden, structure.n_visible)
     )
@@ -710,11 +711,6 @@ def _init_model(corpus: Corpus, structure: SbmStructure, config: TrainConfig, rn
         b = np.zeros(corpus.n_words)
     return SbmModel(structure, w, np.zeros(structure.n_tree_edges),
                     np.zeros(structure.n_hidden), b)
-
-
-def init_sbm_model(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> SbmModel:
-    """Fresh model: on-structure W ~ Normal(0, std^2), tree weights zero."""
-    return _init_model(corpus, structure, config, rng_from(config.seed, _INIT_STREAM))
 
 
 def sbm_fit(
@@ -731,6 +727,11 @@ def sbm_fit(
     training (e.g. prune/retrain cycles) does not replay earlier epochs'
     batch orders.
     """
+    if model.n_visible != corpus.n_words:
+        raise ValueError(
+            f"model K={model.n_visible} does not match corpus vocabulary size"
+            f" {corpus.n_words}"
+        )
     if epochs is None:
         epochs = config.epochs
     if rng is None:

@@ -9,9 +9,15 @@ _SEED_MASK = (1 << 63) - 1
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator derived from a base seed plus a stream path.
 
-    Distinct stream tags give statistically independent generators for the
-    same base seed, which keeps e.g. weight initialisation and Gibbs noise
-    decoupled while everything stays reproducible.
+    Distinct paths give statistically independent generators for the same
+    base seed, which keeps e.g. weight initialisation and Gibbs noise
+    decoupled while everything stays reproducible. Two paths are distinct
+    only if their SeedSequence entropy differs: each value is taken modulo
+    2**63 and split into its 32-bit words, with high zero words dropped, and
+    the joined words are padded with zeros. So trailing zero tags change
+    nothing, rng_from(s, 61, 0) is rng_from(s, 61), and a value of 2**32 or
+    more runs into the next tag: rng_from(3 + 61 * 2**32) is rng_from(3, 61)
+    and rng_from(s, 2**32) is rng_from(s, 0, 1).
     """
     entropy = [int(seed) & _SEED_MASK] + [int(s) & _SEED_MASK for s in stream]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -184,6 +184,16 @@ class TestVocabularyMismatch:
         assert not out.exists()
 
 
+    def test_interpret_vocabulary_size_names_both_files(self, files, capsys):
+        emb = files / "emb.txt"
+        emb.write_text("w0 0.1 0.2\n")
+        assert run(["interpret", "--model", files / "k6.sbm", "--vocab",
+                    files / "k4.vocab.txt", "--embeddings", emb]) == 2
+        err = capsys.readouterr().err
+        assert "k4.vocab.txt" in err and "k6.sbm" in err
+        assert "4 words" in err and "K=6" in err
+
+
 class TestPrepare:
     def test_prepare_splits_and_manifests(self, small_corpus_files, tmp_path):
         tmp, prefix = small_corpus_files
@@ -398,6 +408,46 @@ class TestPipeline:
         assert re.findall(r"\[([\w-]+)\] done in", output) == [stage]
         assert output.count("] cached") == 8
         assert (out_dir / name).read_bytes() == written
+
+    def test_pipeline_rebuilds_a_stage_whose_file_changed(self, small_corpus_files,
+                                                          tmp_path, capsys):
+        _, prefix = small_corpus_files
+        out_dir = tmp_path / "run"
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(self.make_config(prefix, out_dir)))
+        assert run(["pipeline", "--config", config_path]) == 0
+        cmi = out_dir / "cmi.tsv"
+        written = cmi.read_bytes()
+        cmi.write_bytes(b"".join(written.splitlines(keepends=True)[:3]))
+        capsys.readouterr()
+        assert run(["pipeline", "--config", config_path]) == 0
+        output = capsys.readouterr().out
+        assert re.findall(r"\[([\w-]+)\] done in", output) == ["expand"]
+        assert output.count("] cached") == 8
+        assert cmi.read_bytes() == written
+
+    def test_report_rows_are_what_eval_prints(self, small_corpus_files, tmp_path,
+                                              capsys):
+        _, prefix = small_corpus_files
+        out_dir = tmp_path / "run"
+        config = self.make_config(prefix, out_dir)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 0
+        rows = [line.split("\t")
+                for line in (out_dir / "report.tsv").read_text().splitlines()[1:]]
+        assert sorted(row[0] for row in rows) == sorted(config["variants"])
+        settings = config["eval"]
+        schedule = ",".join(f"{a}:{b}:{n}" for a, b, n in settings["schedule"])
+        files = {"rs_plus": "rs_plus.rs", "rs_plus_pruned": "rs_plus_pruned.rs",
+                 "rs_plus_sfc": "rs_plus_sfc.sbm", "sbm_sfc": "sbm_sfc.sbm"}
+        for variant, _, _, reported in rows:
+            capsys.readouterr()
+            assert run(["eval", "--model", out_dir / files[variant],
+                        "--docs", out_dir / "test", "--ais-runs", settings["ais_runs"],
+                        "--schedule", schedule, "--seed", settings["seed"]]) == 0
+            printed = re.search(r"perplexity (\S+) over", capsys.readouterr().out)
+            assert float(printed.group(1)) == float(reported), variant
 
     def test_pipeline_reruns_stages_after_code_change(self, small_corpus_files,
                                                       tmp_path, capsys, monkeypatch):

@@ -117,6 +117,11 @@ class TestPruneAndRetrain:
         assert lines[0] == "iter\tper_unit_count\tepochs"
         assert len(lines) == 1 + len(result.iterations)
 
+    def test_model_over_other_words_refused_naming_both_sizes(self, tiny_corpus):
+        model = model_from_weights(np.ones((2, 5)))
+        with pytest.raises(ValueError, match=r"model K=5 .* vocabulary size 3"):
+            prune_and_retrain(model, tiny_corpus, PruneConfig(target_per_unit=2))
+
 
 class TestRepruning:
     """Pruning a pruned model starts from its own mask."""

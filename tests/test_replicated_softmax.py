@@ -211,6 +211,17 @@ class TestTrain:
         assert np.array_equal(a.a, b.a)
         assert np.array_equal(a.b, b.b)
 
+    def test_same_model_as_sbm_train_on_the_full_structure(self, tiny_corpus):
+        from sparsebm.sbm import sbm_train
+
+        config = TrainConfig(epochs=3, cd_steps=2, batch_size=3, seed=5,
+                             learning_rate=0.05, weight_init_std=0.05,
+                             visible_bias_init="log-frequency")
+        rs = rs_train(tiny_corpus, 2, config)
+        sbm = sbm_train(tiny_corpus, SbmStructure.full(2, 3), config)
+        for name in ("W", "a", "b"):
+            assert np.array_equal(getattr(rs, name), getattr(sbm, name)), name
+
     def test_training_improves_exact_likelihood(self):
         # two clean topics over six words; exact likelihood via enumeration
         rng = rng_from(42, 7)

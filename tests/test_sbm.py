@@ -25,6 +25,7 @@ from sparsebm.sbm import (
     sbm_cd_gradients,
     sbm_cd_step,
     sbm_energy,
+    sbm_fit,
     sbm_gibbs_hidden_conditional,
     sbm_train,
     sbm_tree_marginals,
@@ -629,6 +630,11 @@ class TestTrain:
         s = chain_structure(2, 5)
         with pytest.raises(ValueError, match="does not match"):
             sbm_train(tiny_corpus, s, TrainConfig(epochs=1))
+
+    def test_fit_refuses_a_model_over_other_words_naming_both_sizes(self, tiny_corpus):
+        # tiny_corpus has K=3; numpy's matmul used to fail first, naming neither
+        with pytest.raises(ValueError, match=r"model K=5 .* vocabulary size 3"):
+            sbm_fit(zero_sbm(2, 5), tiny_corpus, TrainConfig(epochs=1))
 
     def test_deterministic(self, tiny_corpus):
         s = chain_structure(2, 3)
