@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -103,13 +104,34 @@ def _parse_schedule(spec):
         ) from None
 
 
-def _positive_int(value):
-    """A count of at least 1, from command-line text or a config value."""
-    if isinstance(value, str) and value.strip().isdigit():
-        value = int(value)
-    if type(value) is not int or value < 1:
-        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {value!r}")
-    return value
+def _positive_int(text):
+    """A count of at least 1, from command-line text."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _auto_or_float(text):
+    """'auto' or a float, from command-line text."""
+    try:
+        return text if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want a float or 'auto', got {text!r}") from None
+
+
+def _defaults(declaration):
+    """The settings a declaration names, with their defaults: the fields of a
+    settings dataclass that have one, or a step's keyword-only parameters."""
+    if dataclasses.is_dataclass(declaration):
+        return {f.name: f.default for f in dataclasses.fields(declaration)
+                if f.default is not dataclasses.MISSING}
+    params = inspect.signature(declaration).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _from_args(args, declaration):
+    """The settings of declaration as parsed from the command line."""
+    return {name: getattr(args, name) for name in _defaults(declaration)}
 
 
 def _file_sha256(path):
@@ -144,42 +166,31 @@ def _config_hash(config, input_paths):
     ).hexdigest()
 
 
-def _train_config_from_args(args):
-    return TrainConfig(
-        epochs=args.epochs,
-        cd_steps=args.cd_steps,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        weight_init_std=args.weight_init_std,
-        visible_bias_init=args.visible_bias_init,
-        hidden_bias_lr_scale=(
-            "auto" if args.bias_lr_scale == "auto" else float(args.bias_lr_scale)
-        ),
-    )
-
-
 def _add_train_flags(parser):
-    parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--cd-steps", type=int, default=10)
-    parser.add_argument("--lr", type=float, default=0.01)
-    parser.add_argument("--batch-size", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--weight-init-std", type=float, default=0.001)
-    parser.add_argument("--visible-bias-init", choices=["zero", "log-frequency"],
-                        default="zero")
-    parser.add_argument("--bias-lr-scale", default="1.0",
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--cd-steps", type=int)
+    parser.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
+    parser.add_argument("--batch-size", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--weight-init-std", type=float)
+    parser.add_argument("--visible-bias-init", choices=["zero", "log-frequency"])
+    parser.add_argument("--bias-lr-scale", type=_auto_or_float,
+                        dest="hidden_bias_lr_scale", metavar="BIAS_LR_SCALE",
                         help="hidden-bias step multiplier, a float or 'auto'")
+    parser.set_defaults(**_defaults(TrainConfig))
 
 
 # ---------------------------------------------------------------------------
 # workflow steps, each run through _run_stage by its subcommand and its
 # pipeline stage; a step prints a one-line summary and returns the files it
-# wrote, and its stage hashes exactly the keyword-only settings it passes
+# wrote, and its stage hashes exactly the keyword-only settings it passes.
+# Those settings and their defaults are declared once, by the step's
+# keyword-only parameters, or by build_skeleton, TrainConfig and PruneConfig;
+# the flags, the pipeline keys and their defaults are read from there
 
 
-def _prepare(docword, vocab, out, *, select_k, select_method, seed, n_train,
-             n_val, n_test):
+def _prepare(docword, vocab, out, *, select_k=None, select_method="frequency",
+             seed=0, n_train=None, n_val=0, n_test=0):
     """Load a corpus, keep its select_k best words and write it under out as
     full.*, or split with split_manifest.txt."""
     corpus = _load_uci(docword, vocab)
@@ -209,11 +220,8 @@ def _prepare(docword, vocab, out, *, select_k, select_method, seed, n_train,
     return outputs
 
 
-def _skeleton(corpus, output, *, island_max, supergroup_max, mi_floor):
-    skeleton = structure_mod.build_skeleton(
-        corpus, island_max=island_max, supergroup_max=supergroup_max,
-        mi_floor="auto" if mi_floor == "auto" else float(mi_floor),
-    )
+def _skeleton(corpus, output, **settings):
+    skeleton = structure_mod.build_skeleton(corpus, **settings)
     structure_mod.save_skeleton(skeleton, output)
     print(f"skeleton: {skeleton.n_hidden} hidden units,"
           f" {len(skeleton.tree_edges)} tree edges -> {output}")
@@ -232,11 +240,13 @@ def _train_rs(corpus, output, *, hidden, train):
     return [output]
 
 
-def _expand(corpus, skeleton, tree_model_path, output, cmi_out, *, add, fraction):
+def _expand(corpus, skeleton, tree_model_path, output, cmi_out, *, add=None,
+            fraction=0.2):
     tree_model = sbm_mod.load_sbm_model(tree_model_path)
     _check_vocab(tree_model, tree_model_path, corpus)
     table = structure_mod.build_cmi_table(tree_model, corpus)
-    m = float(fraction) if add is None else int(add)
+    # float: an int m would mean a count of connections to add per unit
+    m = float(fraction) if add is None else add
     expanded = structure_mod.sbm_sfc(skeleton, tree_model, corpus, m, cmi_table=table)
     sbm_mod.save_structure(expanded, output)
     outputs = [output]
@@ -273,11 +283,12 @@ def _held_out_docs(corpus, max_docs, seed):
     return docs
 
 
-def _score(model_path, docs_prefix, *, ais_runs, schedule, exact, max_docs,
-           include_multinomial, seed):
+def _score(model_path, docs_prefix, *, ais_runs=100, schedule="default", exact=False,
+           max_docs=None, include_multinomial=False, seed=0):
     """(model, documents, per-document log-probabilities, per-word perplexity)
     of a model file on held-out documents; every model's AIS draws from
-    rng_from(seed, _EVAL_STREAM)."""
+    rng_from(seed, _EVAL_STREAM). schedule is an AisSchedule; its default is
+    the text that --schedule and the config key parse."""
     model = _load_any_model(model_path)
     corpus = _load_corpus(docs_prefix)
     _check_vocab(model, model_path, corpus)
@@ -307,7 +318,7 @@ def _eval(model_path, docs_prefix, output, **settings):
     return [output] if output else []
 
 
-def _interpret(model_path, vocab_path, embeddings, output, *, top_n):
+def _interpret(model_path, vocab_path, embeddings, output, *, top_n=10):
     """Each unit's top words and embedding score, written to output if given,
     and the model's score."""
     model = _load_any_model(model_path)
@@ -337,7 +348,7 @@ def _write_report(test_prefix, output, *, models, **settings):
     model with the same settings."""
     rows = []
     for variant, path in sorted(models.items()):
-        model, _, _, ppl = _score(path, test_prefix, exact=False, **settings)
+        model, _, _, ppl = _score(path, test_prefix, **settings)
         rows.append((variant, model.n_hidden,
                      float(model.structure.degrees().mean()), ppl))
     with open(output, "w", encoding="utf-8") as fh:
@@ -398,10 +409,7 @@ def _run_stage(name, out_path, config, seed, inputs, force, step):
 
 def cmd_prepare(args):
     _run_stage(
-        "prepare", Path(args.output) / "prepare",
-        {"select_k": args.select_k, "select_method": args.select_method,
-         "seed": args.seed, "n_train": args.train, "n_val": args.val,
-         "n_test": args.test},
+        "prepare", Path(args.output) / "prepare", _from_args(args, _prepare),
         args.seed, [args.docword, args.vocab], True,
         functools.partial(_prepare, args.docword, args.vocab, args.output),
     )
@@ -409,9 +417,7 @@ def cmd_prepare(args):
 
 def cmd_skeleton(args):
     _run_stage(
-        "skeleton", args.output,
-        {"island_max": args.island_max, "supergroup_max": args.supergroup_max,
-         "mi_floor": args.mi_floor},
+        "skeleton", args.output, _from_args(args, structure_mod.build_skeleton),
         0, _corpus_paths(args.corpus), True,
         functools.partial(_skeleton, _load_corpus(args.corpus), args.output),
     )
@@ -420,7 +426,7 @@ def cmd_skeleton(args):
 def cmd_train_rs(args):
     _run_stage(
         "train-rs", args.output,
-        {"hidden": args.hidden, "train": _train_config_from_args(args)},
+        {"hidden": args.hidden, "train": TrainConfig(**_from_args(args, TrainConfig))},
         args.seed, _corpus_paths(args.corpus), True,
         functools.partial(_train_rs, _load_corpus(args.corpus), args.output),
     )
@@ -430,7 +436,7 @@ def cmd_train_sbm(args):
     corpus = _load_corpus(args.corpus)
     structure = _load_any_structure(args.structure, corpus.n_words)
     _run_stage(
-        "train-sbm", args.output, {"train": _train_config_from_args(args)},
+        "train-sbm", args.output, {"train": TrainConfig(**_from_args(args, TrainConfig))},
         args.seed, [*_corpus_paths(args.corpus), args.structure], True,
         functools.partial(_train_sbm, corpus, structure, args.output),
     )
@@ -440,7 +446,7 @@ def cmd_expand(args):
     corpus = _load_corpus(args.corpus)
     skeleton = structure_mod.load_skeleton(args.skeleton, corpus.n_words)
     _run_stage(
-        "expand", args.output, {"add": args.add, "fraction": args.fraction}, 0,
+        "expand", args.output, _from_args(args, _expand), 0,
         [*_corpus_paths(args.corpus), args.skeleton, args.tree_model], True,
         functools.partial(_expand, corpus, skeleton, args.tree_model, args.output,
                           args.cmi_out),
@@ -453,9 +459,8 @@ def cmd_prune(args):
     if target is None:  # the model's K, which _prune checks against the corpus
         target = int(np.ceil(args.target_fraction * corpus.n_words))
     prune = pruning.PruneConfig(
-        target_per_unit=target, prune_fraction=args.prune_fraction,
-        retrain_epochs_per_iter=args.retrain_epochs,
-        train=_train_config_from_args(args),
+        target_per_unit=target, train=TrainConfig(**_from_args(args, TrainConfig)),
+        **_from_args(args, pruning.PruneConfig),
     )
     _run_stage(
         "prune", args.output, {"prune": prune}, args.seed,
@@ -466,11 +471,8 @@ def cmd_prune(args):
 
 def cmd_eval(args):
     _run_stage(
-        "eval", args.output,
-        {"ais_runs": args.ais_runs, "schedule": args.schedule, "exact": args.exact,
-         "max_docs": args.max_docs, "include_multinomial": args.include_multinomial,
-         "seed": args.seed},
-        args.seed, [args.model, *_corpus_paths(args.docs)], True,
+        "eval", args.output, _from_args(args, _score), args.seed,
+        [args.model, *_corpus_paths(args.docs)], True,
         functools.partial(_eval, args.model, args.docs, args.output),
     )
 
@@ -480,7 +482,7 @@ def cmd_interpret(args):
     if not vocab_path.exists():
         vocab_path = _corpus_paths(args.vocab)[1]
     _run_stage(
-        "interpret", args.output, {"top_n": args.top_n}, 0,
+        "interpret", args.output, _from_args(args, _interpret), 0,
         [args.model, vocab_path, args.embeddings], True,
         functools.partial(_interpret, args.model, vocab_path, args.embeddings,
                           args.output),
@@ -492,18 +494,22 @@ def cmd_interpret(args):
 
 
 _VARIANTS = ("rs_plus", "rs_plus_sfc", "rs_plus_pruned", "sbm_sfc")
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-# the keys each pipeline config section may hold: those its step reads
+_TRAIN_KEYS = set(_defaults(TrainConfig))
+# split holds the settings of _prepare that split_corpus reads
+_SPLIT_KEYS = set(inspect.signature(corpus_mod.split_corpus).parameters) - {"corpus"}
+# the keys each pipeline config section may hold: those its step reads, less
+# PruneConfig's train, which the train section sets, and _score's exact, as
+# the report always runs AIS
 _CONFIG_KEYS = {
-    "corpus": {"docword", "vocab", "select_k", "select_method"},
-    "split": {"n_train", "n_val", "n_test", "seed"},
-    "skeleton": {"island_max", "supergroup_max", "mi_floor"},
+    "corpus": {"docword", "vocab", *set(_defaults(_prepare)) - _SPLIT_KEYS},
+    "split": _SPLIT_KEYS,
+    "skeleton": set(_defaults(structure_mod.build_skeleton)),
     "train_defaults": _TRAIN_KEYS,
     "tree_train": _TRAIN_KEYS,
     "train": _TRAIN_KEYS,
-    "expand": {"add", "fraction"},
-    "prune": {"target_per_unit", "prune_fraction", "retrain_epochs_per_iter"},
-    "eval": {"schedule", "ais_runs", "seed", "max_docs", "include_multinomial"},
+    "expand": set(_defaults(_expand)),
+    "prune": {f.name for f in dataclasses.fields(pruning.PruneConfig)} - {"train"},
+    "eval": set(_defaults(_score)) - {"exact"},
 }
 
 
@@ -552,24 +558,41 @@ def cmd_pipeline(args):
         if key not in cfg:
             raise SparsebmError(f"pipeline config is missing {key!r}")
     variants = _check_config_keys(cfg)
-    split_cfg = cfg.get("split", {})
-    eval_cfg = cfg.get("eval", {})
-    for name, section in (("seed", cfg), ("split.seed", split_cfg), ("eval.seed", eval_cfg)):
-        try:
-            check_int(f"pipeline config {name}", section.get("seed", 0))
-        except ValueError as exc:
-            raise SparsebmError(str(exc)) from None
     seed = cfg["seed"]
     force = args.force
+    # each section over the defaults its step declares; the split and eval
+    # seeds default to the top-level one
+    prepare = {**_defaults(_prepare), "seed": seed, **cfg["corpus"], **cfg.get("split", {})}
+    skeleton_cfg = {**_defaults(structure_mod.build_skeleton), **cfg.get("skeleton", {})}
+    expand_cfg = {**_defaults(_expand), **cfg.get("expand", {})}
+    eval_params = {**_defaults(_score), "seed": seed, **cfg.get("eval", {})}
 
-    corpus_cfg = cfg["corpus"]
-    docword = Path(corpus_cfg["docword"])
-    vocab = Path(corpus_cfg["vocab"])
+    if not {"docword", "vocab"} <= prepare.keys():
+        raise SparsebmError("pipeline config corpus needs 'docword' and 'vocab'")
+    docword = Path(prepare.pop("docword"))
+    vocab = Path(prepare.pop("vocab"))
     if not docword.exists():
         raise SparsebmError(f"corpus file {docword} does not exist")
-    for key in ("n_train", "n_test"):
-        if type(split_cfg.get(key)) is not int or split_cfg[key] < 1:
-            raise SparsebmError(f"pipeline config needs split.{key}, an integer >= 1")
+    optional = (("corpus.select_k", prepare["select_k"], 1),
+                ("expand.add", expand_cfg["add"], 0),
+                ("eval.max_docs", eval_params["max_docs"], 1))
+    ints = [("seed", seed, None), ("split.seed", prepare["seed"], None),
+            ("split.n_train", prepare["n_train"], 1), ("split.n_val", prepare["n_val"], 0),
+            ("split.n_test", prepare["n_test"], 1), ("eval.seed", eval_params["seed"], None),
+            ("eval.ais_runs", eval_params["ais_runs"], 1),
+            *(check for check in optional if check[1] is not None)]
+    try:
+        for name, value, minimum in ints:
+            check_int(f"pipeline config {name}", value, minimum)
+    except ValueError as exc:
+        raise SparsebmError(str(exc)) from None
+    if type(eval_params["include_multinomial"]) is not bool:
+        raise SparsebmError("pipeline config eval.include_multinomial must be true or"
+                            f" false, got {eval_params['include_multinomial']!r}")
+    try:
+        eval_params["schedule"] = _parse_schedule(eval_params["schedule"])
+    except argparse.ArgumentTypeError as exc:
+        raise SparsebmError(f"pipeline config eval.schedule: {exc}") from None
 
     def settings(cls, section, values):
         try:
@@ -591,44 +614,19 @@ def cmd_pipeline(args):
     main_cfg = train_config("train")
     prune_config(1)  # fail before any stage; the default target needs the expanded structure
 
-    eval_params = {"seed": eval_cfg.get("seed", seed),
-                   "include_multinomial": eval_cfg.get("include_multinomial", False)}
-    for key, parse, default in (("schedule", _parse_schedule, "default"),
-                                ("ais_runs", _positive_int, 100),
-                                ("max_docs", _positive_int, None)):
-        value = eval_cfg.get(key, default)
-        try:
-            eval_params[key] = None if value is None else parse(value)
-        except argparse.ArgumentTypeError as exc:
-            raise SparsebmError(f"pipeline config eval.{key}: {exc}") from None
-
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     train_prefix = out / "train"
     test_prefix = out / "test"
     train_files = list(_corpus_paths(train_prefix))
 
-    _run_stage(
-        "corpus", train_files[0],
-        {"select_k": corpus_cfg.get("select_k"),
-         "select_method": corpus_cfg.get("select_method", "frequency"),
-         "seed": split_cfg.get("seed", seed), "n_train": split_cfg["n_train"],
-         "n_val": split_cfg.get("n_val", 0), "n_test": split_cfg["n_test"]},
-        seed, [docword, vocab], force,
-        functools.partial(_prepare, docword, vocab, out),
-    )
+    _run_stage("corpus", train_files[0], prepare, seed, [docword, vocab], force,
+               functools.partial(_prepare, docword, vocab, out))
     train_corpus = _load_corpus(train_prefix)
 
-    skel_cfg = cfg.get("skeleton", {})
     skeleton_path = out / "skeleton.txt"
-    _run_stage(
-        "skeleton", skeleton_path,
-        {"island_max": skel_cfg.get("island_max", 7),
-         "supergroup_max": skel_cfg.get("supergroup_max", 5),
-         "mi_floor": skel_cfg.get("mi_floor", "auto")},
-        seed, train_files, force,
-        functools.partial(_skeleton, train_corpus, skeleton_path),
-    )
+    _run_stage("skeleton", skeleton_path, skeleton_cfg, seed, train_files, force,
+               functools.partial(_skeleton, train_corpus, skeleton_path))
     skeleton = structure_mod.load_skeleton(skeleton_path, train_corpus.n_words)
 
     tree_model_path = out / "tree_model.sbm"
@@ -639,11 +637,9 @@ def cmd_pipeline(args):
                           tree_model_path),
     )
 
-    expand_cfg = cfg.get("expand", {})
     expanded_path = out / "expanded.struct"
     _run_stage(
-        "expand", expanded_path,
-        {"add": expand_cfg.get("add"), "fraction": expand_cfg.get("fraction", 0.2)},
+        "expand", expanded_path, expand_cfg,
         seed, [*train_files, skeleton_path, tree_model_path], force,
         functools.partial(_expand, train_corpus, skeleton, tree_model_path,
                           expanded_path, out / "cmi.tsv"),
@@ -695,23 +691,22 @@ def build_parser():
     p = sub.add_parser("prepare", help="load, filter and split a UCI corpus")
     p.add_argument("--docword", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--select-k", type=int, default=None)
-    p.add_argument("--select-method", choices=["frequency", "tfidf"],
-                   default="frequency")
-    p.add_argument("--train", type=int, default=None)
-    p.add_argument("--val", type=int, default=0)
-    p.add_argument("--test", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--select-k", type=int)
+    p.add_argument("--select-method", choices=["frequency", "tfidf"])
+    p.add_argument("--train", type=int, dest="n_train", metavar="TRAIN")
+    p.add_argument("--val", type=int, dest="n_val", metavar="VAL")
+    p.add_argument("--test", type=int, dest="n_test", metavar="TEST")
+    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_prepare)
+    p.set_defaults(func=cmd_prepare, **_defaults(_prepare))
 
     p = sub.add_parser("skeleton", help="build a two-level skeleton from data")
     p.add_argument("--corpus", required=True, help="corpus prefix")
-    p.add_argument("--island-max", type=int, default=7)
-    p.add_argument("--supergroup-max", type=int, default=5)
-    p.add_argument("--mi-floor", default="auto")
+    p.add_argument("--island-max", type=int)
+    p.add_argument("--supergroup-max", type=int)
+    p.add_argument("--mi-floor", type=_auto_or_float)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_skeleton)
+    p.set_defaults(func=cmd_skeleton, **_defaults(structure_mod.build_skeleton))
 
     p = sub.add_parser("train-rs", help="train a dense Replicated Softmax model")
     p.add_argument("--corpus", required=True)
@@ -733,13 +728,13 @@ def build_parser():
     p.add_argument("--skeleton", required=True)
     p.add_argument("--tree-model", required=True)
     size = p.add_mutually_exclusive_group()
-    size.add_argument("--fraction", type=float, default=0.2,
+    size.add_argument("--fraction", type=float,
                       help="target per-unit degree as a fraction of K")
-    size.add_argument("--add", type=int, default=None,
+    size.add_argument("--add", type=int,
                       help="fixed number of new connections per unit")
     p.add_argument("--cmi-out", default=None, help="write the CMI table as TSV")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_expand)
+    p.set_defaults(func=cmd_expand, **_defaults(_expand))
 
     p = sub.add_parser("prune", help="magnitude-prune and retrain an RS model")
     p.add_argument("--corpus", required=True)
@@ -747,35 +742,36 @@ def build_parser():
     target = p.add_mutually_exclusive_group()
     target.add_argument("--target", type=int, default=None)
     target.add_argument("--target-fraction", type=float, default=0.2)
-    p.add_argument("--prune-fraction", type=float, default=0.2)
-    p.add_argument("--retrain-epochs", type=int, default=1)
+    p.add_argument("--prune-fraction", type=float)
+    p.add_argument("--retrain-epochs", type=int, dest="retrain_epochs_per_iter",
+                   metavar="RETRAIN_EPOCHS")
     _add_train_flags(p)
     p.add_argument("--log-out", default=None)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_prune)
+    p.set_defaults(func=cmd_prune, **_defaults(pruning.PruneConfig))
 
     p = sub.add_parser("eval", help="held-out perplexity via AIS")
     p.add_argument("--model", required=True)
     p.add_argument("--docs", required=True, help="corpus prefix of held-out docs")
-    p.add_argument("--ais-runs", type=_positive_int, default=100)
-    p.add_argument("--schedule", type=_parse_schedule, default="default",
+    p.add_argument("--ais-runs", type=_positive_int)
+    p.add_argument("--schedule", type=_parse_schedule,
                    help="'default' or comma-joined start:end:count segments")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-docs", type=_positive_int, default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-docs", type=_positive_int)
     p.add_argument("--include-multinomial", action="store_true")
     p.add_argument("--exact", action="store_true",
                    help="use the exact closed-form log Z instead of AIS"
                         " (needs 2^F*K <= 2^25, e.g. F <= 15 at K=1000)")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, **_defaults(_score))
 
     p = sub.add_parser("interpret", help="embedding-based interpretability score")
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True, help="vocab file or corpus prefix")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--top-n", type=_positive_int, default=10)
+    p.add_argument("--top-n", type=_positive_int)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_interpret)
+    p.set_defaults(func=cmd_interpret, **_defaults(_interpret))
 
     p = sub.add_parser("pipeline", help="run the full workflow from a JSON config")
     p.add_argument("--config", required=True)

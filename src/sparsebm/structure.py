@@ -9,6 +9,8 @@ estimated from exact posteriors of a tree model trained on the skeleton.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +20,7 @@ import scipy.sparse as sp
 from .corpus import Corpus
 from .errors import FileFormatError, StructureError
 from .sbm import SbmModel, SbmStructure, _batch_theta, tree_sum_product
+from .util import check_int
 
 # 99% quantile of chi-squared with one degree of freedom; 2*N*MI of two
 # independent binary variables is asymptotically chi-squared(1), so this
@@ -212,6 +215,7 @@ def _any_present(occ, sets) -> sp.csr_matrix:
 
 def build_skeleton(
     corpus: Corpus,
+    *,
     island_max: int = 7,
     supergroup_max: int = 5,
     mi_floor="auto",
@@ -226,10 +230,20 @@ def build_skeleton(
     indicators' pairwise MI. Constant words (present in every document or
     none) carry no signal and are appended to the smallest group at the end.
 
-    mi_floor="auto" uses a 99% chi-squared significance threshold on 2*N*MI,
-    which rejects the positive bias of empirical MI between independent
-    variables; a float fixes the floor directly.
+    island_max and supergroup_max are integers of at least 1; below 2 every
+    word (island) stays on its own. mi_floor="auto" uses a 99% chi-squared
+    significance threshold on 2*N*MI, which rejects the positive bias of
+    empirical MI between independent variables; a number that is not NaN
+    fixes the floor directly.
     """
+    check_int("island_max", island_max, 1)
+    check_int("supergroup_max", supergroup_max, 1)
+    if mi_floor != "auto" and (
+        isinstance(mi_floor, bool) or not isinstance(mi_floor, numbers.Real)
+        or math.isnan(mi_floor)
+    ):
+        raise ValueError(f"mi_floor must be 'auto' or a number that is not NaN,"
+                         f" got {mi_floor!r}")
     if corpus.n_words < 2:
         raise ValueError("need at least two words to build a skeleton")
     n = corpus.n_docs

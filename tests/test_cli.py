@@ -72,6 +72,19 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert flag in err and value in err
 
+    @pytest.mark.parametrize("command, flag", [
+        (["skeleton", "--corpus", "c"], "--mi-floor"),
+        (["train-rs", "--corpus", "c", "--hidden", "2"], "--bias-lr-scale"),
+        (["train-sbm", "--corpus", "c", "--structure", "s"], "--bias-lr-scale"),
+        (["prune", "--corpus", "c", "--model", "m"], "--bias-lr-scale"),
+    ])
+    def test_bad_float_text_is_usage_error_naming_it(self, command, flag, tmp_path,
+                                                     capsys):
+        assert run([*command, flag, "foo", "-o", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "'foo'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, first, second", [
         (["expand", "--corpus", "c", "--skeleton", "s", "--tree-model", "t"],
          ["--add", "3"], ["--fraction", "0.2"]),
@@ -321,6 +334,18 @@ class TestWorkflow:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--mi-floor", "nan", "mi_floor"), ("--island-max", "0", "island_max"),
+        ("--supergroup-max", "-1", "supergroup_max"),
+    ])
+    def test_bad_skeleton_setting_is_data_error_naming_it(self, workdir, tmp_path,
+                                                          capsys, flag, value, named):
+        out = tmp_path / "skel.txt"
+        assert run(["skeleton", "--corpus", workdir / "train", flag, value,
+                    "-o", out]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_interpret_top_n_below_one_is_usage_error(self, tmp_path, capsys, value):
         code = run(["interpret", "--model", tmp_path / "m.rs", "--vocab", tmp_path / "v",
@@ -512,6 +537,15 @@ class TestPipeline:
         (None, {"seed": "3"}, "config seed"),
         ("split", {"n_train": 320, "n_test": 80, "seed": 2.5}, "split.seed"),
         ("eval", {"seed": "3"}, "eval.seed"),
+        ("eval", {"include_multinomial": "false"}, "eval.include_multinomial"),
+        ("eval", {"ais_runs": None}, "eval.ais_runs"),
+        ("eval", {"ais_runs": "5"}, "eval.ais_runs"),
+        ("eval", {"schedule": None}, "eval.schedule"),
+        ("expand", {"add": 2.5}, "expand.add"),
+        ("expand", {"add": True}, "expand.add"),
+        ("expand", {"add": -1}, "expand.add"),
+        ("split", {"n_train": 320, "n_test": 80, "n_val": 2.5}, "split.n_val"),
+        ("corpus", {"vocab": "small.vocab.txt"}, "'docword'"),
     ])
     def test_pipeline_bad_setting_fails_before_stages(self, small_corpus_files,
                                                       tmp_path, capsys, section,
@@ -529,6 +563,93 @@ class TestPipeline:
         assert named in captured.err
         assert "[corpus]" not in captured.out
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_pipeline_bad_select_k_fails_before_stages(self, small_corpus_files,
+                                                       tmp_path, capsys, value):
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        config["corpus"]["select_k"] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert "corpus.select_k" in captured.err
+        assert "[corpus]" not in captured.out
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_expand_fraction_of_one_is_refused(self, small_corpus_files,
+                                                        tmp_path, capsys):
+        # an integer fraction must not be read as a count of connections to add
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        config["expand"] = {"fraction": 1}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'expand' failed" in err and "must lie in (0, 1)" in err
+        assert not (tmp_path / "run" / "expanded.struct").exists()
+
+    def test_flag_defaults_are_the_pipeline_defaults(self, small_corpus_files, tmp_path,
+                                                     monkeypatch):
+        """Each subcommand, given only its required flags, hashes the settings
+        its pipeline stage hashes for an empty section, except for seeds, the
+        prune target and the report's model list."""
+        from sparsebm import cli
+
+        _, prefix = small_corpus_files
+        out = tmp_path / "run"
+        config = {"corpus": {"docword": f"{prefix}.docword.txt",
+                             "vocab": f"{prefix}.vocab.txt"},
+                  "split": {"n_train": 320, "n_test": 80},
+                  "variants": ["rs_plus_pruned", "sbm_sfc"],
+                  "seed": 3, "out_dir": str(out)}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        real_run_stage = cli._run_stage
+        hashed = {}
+
+        def run_but_eval(name, out_path, settings, seed, inputs, force, step):
+            hashed[name] = settings
+            if name != "eval":  # AIS at the default schedule takes minutes
+                real_run_stage(name, out_path, settings, seed, inputs, force, step)
+
+        def strip(value):
+            if isinstance(value, dict):
+                return {k: strip(v) for k, v in value.items()
+                        if k not in ("seed", "target_per_unit", "models")}
+            return value
+
+        monkeypatch.setattr(cli, "_run_stage", run_but_eval)
+        assert run(["pipeline", "--config", config_path]) == 0
+        pipeline = {command: hashed[stage] for command, stage in (
+            ("prepare", "corpus"), ("skeleton", "skeleton"), ("train-sbm", "tree-model"),
+            ("expand", "expand"), ("train-rs", "rs-plus"), ("prune", "rs-plus-pruned"),
+            ("eval", "eval"))}
+
+        def record(name, out_path, settings, *rest):
+            hashed[name] = settings
+
+        monkeypatch.setattr(cli, "_run_stage", record)
+        train = out / "train"
+        commands = {
+            "prepare": ["--docword", f"{prefix}.docword.txt", "--vocab",
+                        f"{prefix}.vocab.txt", "--train", 320, "--test", 80],
+            "skeleton": ["--corpus", train],
+            "train-sbm": ["--corpus", train, "--structure", out / "skeleton.txt"],
+            "expand": ["--corpus", train, "--skeleton", out / "skeleton.txt",
+                       "--tree-model", out / "tree_model.sbm"],
+            "train-rs": ["--corpus", train, "--hidden", pipeline["train-rs"]["hidden"]],
+            "prune": ["--corpus", train, "--model", out / "rs_plus.rs"],
+            "eval": ["--model", out / "sbm_sfc.sbm", "--docs", out / "test"],
+        }
+        for command, flags in commands.items():
+            assert run([command, *flags, "-o", tmp_path / command]) == 0
+            flag_settings, section_settings = (
+                strip(json.loads(json.dumps(s, default=vars)))
+                for s in (hashed[command], pipeline[command]))
+            assert flag_settings == section_settings, command
 
     @pytest.mark.parametrize("section, key, value, named", [
         ("eval", "ais_run", 3, ["'eval'", "'ais_run'"]),

@@ -161,6 +161,30 @@ class TestBuildSkeleton:
         with pytest.raises(StructureError, match="no informative"):
             build_skeleton(corpus)
 
+    @pytest.mark.parametrize("settings, named", [
+        ({"island_max": 2.5}, "island_max"), ({"island_max": True}, "island_max"),
+        ({"island_max": 0}, "island_max"), ({"island_max": -3}, "island_max"),
+        ({"supergroup_max": 2.5}, "supergroup_max"),
+        ({"supergroup_max": True}, "supergroup_max"),
+        ({"supergroup_max": 0}, "supergroup_max"),
+        ({"supergroup_max": -1}, "supergroup_max"),
+        ({"mi_floor": float("nan")}, "mi_floor"), ({"mi_floor": "0.01"}, "mi_floor"),
+        ({"mi_floor": None}, "mi_floor"), ({"mi_floor": True}, "mi_floor"),
+    ])
+    def test_bad_setting_refused_naming_it(self, settings, named):
+        with pytest.raises(ValueError, match=named):
+            build_skeleton(two_block_corpus(), **settings)
+
+    def test_sizes_of_one_keep_every_word_alone(self):
+        corpus = two_block_corpus()
+        skeleton = build_skeleton(corpus, island_max=1, supergroup_max=1)
+        # the constant padding word joins the smallest group, a singleton
+        assert sorted(len(g) for g in skeleton.groups) == [1] * (corpus.n_words - 2) + [2]
+
+    def test_settings_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            build_skeleton(two_block_corpus(), 7)
+
 
 def rebuilt_mask_greedy_groups(mi, max_size, floor):
     """The grouping rule with the unassigned-pair matrix rebuilt for every
