@@ -87,7 +87,7 @@ def _load_any_structure(path, n_visible):
         first = fh.readline().split()
     if first[:1] == ["sparsebm"]:
         return sbm_mod.load_structure(path)
-    return structure_mod.load_skeleton(path, n_visible).to_structure()
+    return structure_mod.load_skeleton(path, n_visible)
 
 
 def _parse_schedule(spec):
@@ -322,8 +322,7 @@ def _interpret(model_path, vocab_path, embeddings, output, *, top_n=10):
     """Each unit's top words and embedding score, written to output if given,
     and the model's score."""
     model = _load_any_model(model_path)
-    with open(vocab_path, encoding="utf-8") as fh:
-        vocab = [line.strip() for line in fh if line.strip()]
+    vocab = corpus_mod.load_vocab(vocab_path)
     if len(vocab) != model.n_visible:
         raise SparsebmError(
             f"vocabulary {vocab_path} has {len(vocab)} words but model {model_path}"
@@ -584,8 +583,12 @@ def cmd_pipeline(args):
     try:
         for name, value, minimum in ints:
             check_int(f"pipeline config {name}", value, minimum)
+        structure_mod.check_skeleton_settings("pipeline config skeleton.", **skeleton_cfg)
     except ValueError as exc:
         raise SparsebmError(str(exc)) from None
+    if prepare["select_method"] not in corpus_mod.SELECT_METHODS:
+        raise SparsebmError(f"pipeline config corpus.select_method must be one of"
+                            f" {corpus_mod.SELECT_METHODS}, got {prepare['select_method']!r}")
     if type(eval_params["include_multinomial"]) is not bool:
         raise SparsebmError("pipeline config eval.include_multinomial must be true or"
                             f" false, got {eval_params['include_multinomial']!r}")
@@ -633,8 +636,7 @@ def cmd_pipeline(args):
     _run_stage(
         "tree-model", tree_model_path, {"train": tree_cfg}, seed,
         [*train_files, skeleton_path], force,
-        functools.partial(_train_sbm, train_corpus, skeleton.to_structure(),
-                          tree_model_path),
+        functools.partial(_train_sbm, train_corpus, skeleton, tree_model_path),
     )
 
     expanded_path = out / "expanded.struct"
@@ -692,7 +694,7 @@ def build_parser():
     p.add_argument("--docword", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--select-k", type=int)
-    p.add_argument("--select-method", choices=["frequency", "tfidf"])
+    p.add_argument("--select-method", choices=corpus_mod.SELECT_METHODS)
     p.add_argument("--train", type=int, dest="n_train", metavar="TRAIN")
     p.add_argument("--val", type=int, dest="n_val", metavar="VAL")
     p.add_argument("--test", type=int, dest="n_test", metavar="TEST")

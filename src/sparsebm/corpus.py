@@ -26,6 +26,7 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _INT64_MAX = np.iinfo(np.int64).max
 # docword rows formatted per write
 _WRITE_ROWS = 1 << 13
+SELECT_METHODS = ("frequency", "tfidf")
 
 
 class Document:
@@ -223,16 +224,7 @@ def load_uci_bow(docword_path, vocab_path):
     Returns:
         (Corpus, n_dropped)
     """
-    with open(vocab_path, encoding="utf-8") as fh:
-        vocab = []
-        for i, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word:
-                raise FileFormatError(f"{vocab_path}: empty word at line {i}")
-            vocab.append(word)
-    if not vocab:
-        raise FileFormatError(f"{vocab_path}: vocabulary file is empty")
-
+    vocab = _read_vocab(vocab_path)
     with open(docword_path, encoding="utf-8") as fh:
         header = []
         for ln in range(1, 4):
@@ -336,6 +328,27 @@ def _body_error(lines, n_docs: int, k: int, nnz: int) -> FileFormatError:
     return FileFormatError(f"header promises {nnz} entries, file contains {n_entries}")
 
 
+def load_vocab(vocab_path) -> list:
+    """The words of a vocabulary file, one per line; an empty line, an empty
+    file or a repeated word is refused as load_uci_bow refuses it."""
+    vocab = _read_vocab(vocab_path)
+    _check_unique_vocab(vocab, vocab_path)
+    return vocab
+
+
+def _read_vocab(vocab_path) -> list:
+    with open(vocab_path, encoding="utf-8") as fh:
+        vocab = []
+        for i, line in enumerate(fh, start=1):
+            word = line.strip()
+            if not word:
+                raise FileFormatError(f"{vocab_path}: empty word at line {i}")
+            vocab.append(word)
+    if not vocab:
+        raise FileFormatError(f"{vocab_path}: vocabulary file is empty")
+    return vocab
+
+
 def _check_unique_vocab(vocab, vocab_path) -> None:
     first_line = {}
     for ln, word in enumerate(vocab, start=1):
@@ -393,7 +406,7 @@ def select_vocab(corpus: Corpus, k: int, method: str = "frequency") -> Corpus:
             acc[d.words] += (d.counts / d.length) * idf[d.words]
         scores = acc / n
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}, want one of {SELECT_METHODS}")
 
     order = np.lexsort((np.arange(corpus.n_words), -scores))
     keep = np.sort(order[:k])

@@ -73,11 +73,14 @@ class TrainConfig:
 class SbmStructure:
     """Connectivity of a sparse Boltzmann machine.
 
-    visible_edges is the bipartite hidden-to-visible edge set, tree_edges the
-    forest of hidden-to-hidden couplings. Every hidden unit must keep at
-    least one visible edge; tree edges may leave the hidden graph
-    disconnected (a forest) but never cyclic. edge_index maps each canonical
-    tree edge (lower, higher) to its position in tree_edges.
+    visible_edges is the bipartite hidden-to-visible edge set, held as the
+    (F, K) mask; tree_edges the forest of hidden-to-hidden couplings, kept
+    as sorted (lower, higher) pairs. Every hidden unit must keep at least
+    one visible edge; tree edges may leave the hidden graph disconnected (a
+    forest) but never cyclic.
+
+    A breadth-first search from each lowest unreached unit checks the forest,
+    labels each component by its smallest unit and records the plan.
     """
 
     def __init__(self, n_hidden: int, n_visible: int, visible_edges, tree_edges):
@@ -101,17 +104,8 @@ class SbmStructure:
         if empty.size:
             raise StructureError(f"hidden unit {int(empty[0])} has no visible edge")
         self._mask = mask
-        self.visible_by_hidden = [np.flatnonzero(row) for row in mask]
 
         canon = set()
-        parent = list(range(self.n_hidden))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for j, l in tree_edges:
             j, l = int(j), int(l)
             if j == l:
@@ -121,13 +115,8 @@ class SbmStructure:
             j, l = min(j, l), max(j, l)
             if (j, l) in canon:
                 raise StructureError(f"duplicate tree edge ({j}, {l})")
-            rj, rl = find(j), find(l)
-            if rj == rl:
-                raise StructureError("hidden graph is not a forest")
-            parent[rj] = rl
             canon.add((j, l))
         self.tree_edges = sorted(canon)
-        self.edge_index = {edge: e for e, edge in enumerate(self.tree_edges)}
         self._edge_ends = np.array(self.tree_edges, dtype=np.int64).reshape(-1, 2).T
 
         self._neighbors = [[] for _ in range(self.n_hidden)]
@@ -135,13 +124,31 @@ class SbmStructure:
             self._neighbors[j].append((l, e))
             self._neighbors[l].append((j, e))
 
-        # component id = smallest hidden index in the component
-        comp = np.array([find(j) for j in range(self.n_hidden)], dtype=np.int64)
-        labels = {}
-        for j in range(self.n_hidden):
-            labels.setdefault(comp[j], j)
-        self.component = np.array([labels[c] for c in comp], dtype=np.int64)
-        self._plan = None
+        depth = [-1] * self.n_hidden
+        self.component = np.empty(self.n_hidden, dtype=np.int64)
+        down_steps = []  # (parent, child, edge)
+        for start in range(self.n_hidden):
+            if depth[start] >= 0:
+                continue
+            depth[start] = 0
+            queue = [start]
+            for node in queue:
+                self.component[node] = start
+                for other, e in self._neighbors[node]:
+                    if depth[other] < 0:
+                        depth[other] = depth[node] + 1
+                        down_steps.append((node, other, e))
+                        queue.append(other)
+        # without self loops or repeats, one down-step per edge means no cycle
+        if len(down_steps) != self.n_tree_edges:
+            raise StructureError("hidden graph is not a forest")
+        depth = np.array(depth)
+        # a parent is one level above its child
+        ej, el = self._edge_ends
+        edge_parent, edge_child = np.where(depth[ej] < depth[el], [ej, el], [el, ej])
+        colours = [units for units in (np.flatnonzero(depth % 2 == 0),
+                                       np.flatnonzero(depth % 2 == 1)) if units.size]
+        self._plan = _BpPlan(down_steps, edge_parent, edge_child, colours)
 
     # -- constructors ------------------------------------------------------
 
@@ -162,12 +169,6 @@ class SbmStructure:
             raise ValueError("n_hidden and n_visible must be positive")
         return cls.from_mask(np.ones((n_hidden, n_visible), dtype=bool), [])
 
-    @classmethod
-    def from_groups(cls, groups, tree_edges, n_visible: int) -> "SbmStructure":
-        """One hidden unit per group of visible indices."""
-        edges = [(j, int(k)) for j, ks in enumerate(groups) for k in ks]
-        return cls(len(groups), n_visible, edges, tree_edges)
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -175,7 +176,7 @@ class SbmStructure:
         return len(self.tree_edges)
 
     def visible_indices(self, j: int) -> np.ndarray:
-        return self.visible_by_hidden[j]
+        return np.flatnonzero(self._mask[j])
 
     def degrees(self) -> np.ndarray:
         """Number of visible edges of each hidden unit."""
@@ -186,11 +187,7 @@ class SbmStructure:
         return self._neighbors[j]
 
     def visible_edge_set(self) -> set:
-        return {
-            (j, int(k))
-            for j in range(self.n_hidden)
-            for k in self.visible_by_hidden[j]
-        }
+        return set(map(tuple, np.argwhere(self._mask).tolist()))
 
     def mask(self) -> np.ndarray:
         """Boolean (F, K) matrix, True on structure edges."""
@@ -199,52 +196,13 @@ class SbmStructure:
     def __eq__(self, other):
         if not isinstance(other, SbmStructure):
             return NotImplemented
-        return (
-            self.n_hidden == other.n_hidden
-            and self.n_visible == other.n_visible
-            and self.tree_edges == other.tree_edges
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.visible_by_hidden, other.visible_by_hidden)
-            )
-        )
+        return self.tree_edges == other.tree_edges and np.array_equal(self._mask, other._mask)
 
     def __repr__(self):
-        n_vis = sum(len(ks) for ks in self.visible_by_hidden)
         return (
-            f"SbmStructure(F={self.n_hidden}, K={self.n_visible},"
-            f" visible_edges={n_vis}, tree_edges={self.n_tree_edges})"
+            f"{type(self).__name__}(F={self.n_hidden}, K={self.n_visible},"
+            f" visible_edges={int(self._mask.sum())}, tree_edges={self.n_tree_edges})"
         )
-
-    # -- message-passing plan ---------------------------------------------
-
-    def _bp_plan(self) -> "_BpPlan":
-        """Traversal order for sum-product plus the colour classes of the
-        block Gibbs sweep, cached per structure."""
-        if self._plan is not None:
-            return self._plan
-        depth = [-1] * self.n_hidden
-        down_steps = []  # (parent, child, edge)
-        for start in range(self.n_hidden):
-            if depth[start] >= 0:
-                continue
-            depth[start] = 0
-            queue = [start]
-            for node in queue:
-                for other, e in self._neighbors[node]:
-                    if depth[other] < 0:
-                        depth[other] = depth[node] + 1
-                        down_steps.append((node, other, e))
-                        queue.append(other)
-        edge_parent = np.empty(self.n_tree_edges, dtype=np.int64)
-        edge_child = np.empty(self.n_tree_edges, dtype=np.int64)
-        for p, c, e in down_steps:
-            edge_parent[e], edge_child[e] = p, c
-        depth = np.array(depth)
-        colours = [units for units in (np.flatnonzero(depth % 2 == 0),
-                                       np.flatnonzero(depth % 2 == 1)) if units.size]
-        self._plan = _BpPlan(down_steps, edge_parent, edge_child, colours)
-        return self._plan
 
 
 class _BpPlan(NamedTuple):
@@ -456,7 +414,7 @@ def tree_sum_product(
     """
     b = theta.shape[0]
     n_edges = structure.n_tree_edges
-    plan = structure._bp_plan()
+    plan = structure._plan
 
     delta = np.array(theta.T, order="C")
     w = np.ascontiguousarray(edge_logw.T)
@@ -570,7 +528,7 @@ def _coupling_columns(model):
     coupling = np.zeros((model.n_hidden, model.n_hidden))
     coupling[ej, el] = model.Wt
     coupling[el, ej] = model.Wt
-    return [coupling[:, units] for units in structure._bp_plan().colours]
+    return [coupling[:, units] for units in structure._plan.colours]
 
 
 def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0, columns=None):
@@ -587,7 +545,7 @@ def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0, columns=None):
     """
     if columns is None:
         columns = _coupling_columns(model)
-    for c, units in enumerate(model.structure._bp_plan().colours):
+    for c, units in enumerate(model.structure._plan.colours):
         unit_act = theta[:, units]  # an index array, so this is a copy
         if columns is not None:
             unit_act += lengths[:, None] * (h @ columns[c])
@@ -880,9 +838,8 @@ def save_structure(structure: SbmStructure, path) -> None:
         (
             "visible_edges",
             [
-                f"{j} {int(k)}"
-                for j in range(structure.n_hidden)
-                for k in structure.visible_by_hidden[j]
+                f"{j} {k}"
+                for j, k in np.argwhere(structure.mask()).tolist()
             ],
         ),
         ("tree_edges", [f"{j} {l}" for j, l in structure.tree_edges]),
@@ -905,9 +862,8 @@ def save_sbm_model(model: SbmModel, path) -> None:
         (
             "visible_edges",
             [
-                f"{j} {int(k)} {_fmt(model.W[j, k])}"
-                for j in range(s.n_hidden)
-                for k in s.visible_by_hidden[j]
+                f"{j} {k} {_fmt(model.W[j, k])}"
+                for j, k in np.argwhere(s.mask()).tolist()
             ],
         ),
         (
@@ -932,9 +888,7 @@ def load_sbm_model(path) -> SbmModel:
     w = np.zeros((f, k))
     rows, cols = np.array(visible, dtype=np.int64).reshape(-1, 2).T
     w[rows, cols] = weights
-    wt = np.zeros(structure.n_tree_edges)
-    for (j, l), value in zip(tree, tree_weights):
-        wt[structure.edge_index[(min(j, l), max(j, l))]] = value
+    wt = [x for _, x in sorted(zip([(min(j, l), max(j, l)) for j, l in tree], tree_weights))]
     a = _parse_vector(sections, "a", f, path)
     b = _parse_vector(sections, "b", k, path)
     return SbmModel(structure, w, wt, a, b)

@@ -28,51 +28,41 @@ from .util import check_int
 _CHI2_99_DF1 = 6.6348966010212145
 
 
-@dataclass
-class Skeleton:
-    """Disjoint word groups plus a forest over the groups' hidden units."""
+class Skeleton(SbmStructure):
+    """Disjoint word groups covering 0..K-1, one per hidden unit, plus a
+    forest over the units: an SbmStructure whose mask partitions the words.
+    provenance is "built" from data or "loaded" from a file."""
 
-    groups: list
-    tree_edges: list
-    provenance: str = "built"
-
-    def __post_init__(self):
-        self.groups = [np.array(sorted(int(v) for v in g), dtype=np.int64) for g in self.groups]
-        self.tree_edges = sorted(
-            (min(int(j), int(l)), max(int(j), int(l))) for j, l in self.tree_edges
-        )
-        seen = {}
-        for j, g in enumerate(self.groups):
-            if g.size == 0:
+    def __init__(self, groups, tree_edges, provenance: str = "built"):
+        groups = [sorted(int(v) for v in g) for g in groups]
+        seen = set()
+        for j, g in enumerate(groups):
+            if not g:
                 raise StructureError(f"hidden unit {j} has an empty group")
             for v in g:
-                if int(v) in seen:
-                    raise StructureError(f"visible {int(v)} assigned twice")
-                seen[int(v)] = j
+                if v in seen:
+                    raise StructureError(f"visible {v} assigned twice")
+                seen.add(v)
         k = max(seen) + 1 if seen else 0
         for v in range(k):
             if v not in seen:
                 raise StructureError(f"visible {v} unassigned")
-        # forest check is delegated to SbmStructure, which owns that invariant
-        self.to_structure()
+        super().__init__(len(groups), k, [(j, v) for j, g in enumerate(groups) for v in g],
+                         tree_edges)
+        self.provenance = provenance
 
     @property
-    def n_hidden(self) -> int:
-        return len(self.groups)
-
-    @property
-    def n_visible(self) -> int:
-        return sum(g.size for g in self.groups)
+    def groups(self) -> list:
+        """Each hidden unit's words, ascending."""
+        return [np.flatnonzero(row) for row in self.mask()]
 
     def owner_of(self) -> np.ndarray:
         """Array mapping each visible index to its group's hidden unit."""
-        owner = np.full(self.n_visible, -1, dtype=np.int64)
-        for j, g in enumerate(self.groups):
-            owner[g] = j
-        return owner
+        return self.mask().argmax(axis=0)
 
     def to_structure(self) -> SbmStructure:
-        return SbmStructure.from_groups(self.groups, self.tree_edges, self.n_visible)
+        """The skeleton itself, which is already an SbmStructure."""
+        return self
 
 
 @dataclass
@@ -213,6 +203,18 @@ def _any_present(occ, sets) -> sp.csr_matrix:
     return hits
 
 
+def check_skeleton_settings(where="", *, island_max, supergroup_max, mi_floor) -> None:
+    """Refuse bad build_skeleton settings, each named as where + its name."""
+    check_int(f"{where}island_max", island_max, 1)
+    check_int(f"{where}supergroup_max", supergroup_max, 1)
+    if mi_floor != "auto" and (
+        isinstance(mi_floor, bool) or not isinstance(mi_floor, numbers.Real)
+        or math.isnan(mi_floor)
+    ):
+        raise ValueError(f"{where}mi_floor must be 'auto' or a number that is not NaN,"
+                         f" got {mi_floor!r}")
+
+
 def build_skeleton(
     corpus: Corpus,
     *,
@@ -236,14 +238,8 @@ def build_skeleton(
     empirical MI between independent variables; a number that is not NaN
     fixes the floor directly.
     """
-    check_int("island_max", island_max, 1)
-    check_int("supergroup_max", supergroup_max, 1)
-    if mi_floor != "auto" and (
-        isinstance(mi_floor, bool) or not isinstance(mi_floor, numbers.Real)
-        or math.isnan(mi_floor)
-    ):
-        raise ValueError(f"mi_floor must be 'auto' or a number that is not NaN,"
-                         f" got {mi_floor!r}")
+    check_skeleton_settings(island_max=island_max, supergroup_max=supergroup_max,
+                            mi_floor=mi_floor)
     if corpus.n_words < 2:
         raise ValueError("need at least two words to build a skeleton")
     n = corpus.n_docs
@@ -559,7 +555,7 @@ def sbm_sfc(
     Requests beyond the available out-of-group words are clamped with a
     warning. The hidden tree is copied from the skeleton unchanged.
     """
-    if tree_model.structure != skeleton.to_structure():
+    if tree_model.structure != skeleton:
         raise ValueError("tree model was not trained on this skeleton")
     if corpus.n_words != skeleton.n_visible:
         raise ValueError("corpus vocabulary does not match the skeleton")

@@ -206,6 +206,23 @@ class TestVocabularyMismatch:
         assert "k4.vocab.txt" in err and "k6.sbm" in err
         assert "4 words" in err and "K=6" in err
 
+    @pytest.mark.parametrize("words, fault", [
+        (["w0", "", "w1", "w2", "w3", "w4", "w5"], "empty word at line 2"),
+        (["w0", "w1", "w2", "w3", "w4", "w1"], "word 'w1' at line 6 repeats line 2"),
+    ])
+    def test_interpret_reads_the_vocabulary_as_the_corpus_reader_does(
+            self, files, tmp_path, capsys, words, fault):
+        vocab = tmp_path / "bad.vocab.txt"
+        vocab.write_text("".join(f"{w}\n" for w in words))
+        emb = tmp_path / "emb.txt"
+        emb.write_text("w0 0.1 0.2\n")
+        out = tmp_path / "interp.tsv"
+        assert run(["interpret", "--model", files / "k6.sbm", "--vocab", vocab,
+                    "--embeddings", emb, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert "bad.vocab.txt" in err and fault in err
+        assert not out.exists()
+
 
 class TestPrepare:
     def test_prepare_splits_and_manifests(self, small_corpus_files, tmp_path):
@@ -546,6 +563,8 @@ class TestPipeline:
         ("expand", {"add": -1}, "expand.add"),
         ("split", {"n_train": 320, "n_test": 80, "n_val": 2.5}, "split.n_val"),
         ("corpus", {"vocab": "small.vocab.txt"}, "'docword'"),
+        ("skeleton", {"island_max": 0}, "skeleton.island_max"),
+        ("skeleton", {"mi_floor": "x"}, "skeleton.mi_floor"),
     ])
     def test_pipeline_bad_setting_fails_before_stages(self, small_corpus_files,
                                                       tmp_path, capsys, section,
@@ -575,6 +594,20 @@ class TestPipeline:
         assert run(["pipeline", "--config", config_path]) == 2
         captured = capsys.readouterr()
         assert "corpus.select_k" in captured.err
+        assert "[corpus]" not in captured.out
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_unknown_select_method_fails_before_stages(self, small_corpus_files,
+                                                                tmp_path, capsys):
+        # without select_k the method is not used, but a typo is still refused
+        _, prefix = small_corpus_files
+        config = self.make_config(prefix, tmp_path / "run")
+        config["corpus"]["select_method"] = "tf-idf"
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert "corpus.select_method" in captured.err and "'tf-idf'" in captured.err
         assert "[corpus]" not in captured.out
         assert not (tmp_path / "run").exists()
 

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.special import expit
 
 from sparsebm.corpus import Corpus, Document
@@ -81,6 +85,45 @@ class TestStructure:
     def test_components(self):
         s = SbmStructure(4, 2, [(j, 0) for j in range(4)], [(2, 3)])
         assert s.component.tolist() == [0, 1, 2, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_traversal_against_component_oracle(self, data):
+        """The one breadth-first pass against scipy's components and
+        distances: a graph without self loops or repeated edges is a forest
+        exactly when E = F - C."""
+        f = data.draw(st.integers(1, 8))
+        raw = data.draw(st.lists(st.tuples(st.integers(0, f - 1), st.integers(0, f - 1)),
+                                 max_size=12))
+        seen, tree = set(), []
+        for j, l in raw:
+            if j != l and (min(j, l), max(j, l)) not in seen:
+                seen.add((min(j, l), max(j, l)))
+                tree.append((j, l))
+        ends = np.array(tree, dtype=np.int64).reshape(-1, 2).T
+        graph = sp.csr_matrix((np.ones(len(tree)), (ends[0], ends[1])), shape=(f, f))
+        n_trees, label = connected_components(graph, directed=False)
+        visible = [(j, 0) for j in range(f)]
+        if len(tree) != f - n_trees:
+            with pytest.raises(StructureError, match="not a forest"):
+                SbmStructure(f, 1, visible, tree)
+            return
+        s = SbmStructure(f, 1, visible, tree)
+        root = [int(np.flatnonzero(label == label[j])[0]) for j in range(f)]
+        assert s.component.tolist() == root
+        level = shortest_path(graph, directed=False, unweighted=True)[root, range(f)]
+        plan = s._plan
+        assert sorted(e for _, _, e in plan.down_steps) == list(range(len(tree)))
+        for p, c, e in plan.down_steps:
+            assert (min(p, c), max(p, c)) == s.tree_edges[e]
+            assert level[c] == level[p] + 1
+            assert (plan.edge_parent[e], plan.edge_child[e]) == (p, c)
+        colour = np.full(f, -1)
+        for c, units in enumerate(plan.colours):
+            assert units.tolist() == sorted(set(units.tolist()))
+            colour[units] = c
+        assert colour.min() >= 0
+        assert all(colour[j] != colour[l] for j, l in s.tree_edges)
 
     def test_serialization_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

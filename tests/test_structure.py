@@ -8,7 +8,14 @@ import scipy.sparse as sp
 from sparsebm.corpus import Corpus, Document
 from sparsebm.errors import FileFormatError, StructureError
 from sparsebm.replicated_softmax import TrainConfig
-from sparsebm.sbm import SbmModel, SbmStructure, init_sbm_model, sbm_train
+from sparsebm.sbm import (
+    SbmModel,
+    SbmStructure,
+    init_sbm_model,
+    load_structure,
+    sbm_train,
+    save_structure,
+)
 from sparsebm.structure import (
     Skeleton,
     _greedy_groups,
@@ -238,6 +245,16 @@ class TestSkeletonIo:
         assert [g.tolist() for g in loaded.groups] == [[0, 1, 2], [3, 4, 5, 6]]
         assert loaded.tree_edges == [(0, 1)]
         assert loaded.provenance == "loaded"
+
+    def test_skeleton_is_the_structure_it_saves(self, tmp_path):
+        built = build_skeleton(two_block_corpus())
+        save_skeleton(built, tmp_path / "s.txt")
+        save_structure(built, tmp_path / "s.struct")
+        loaded = load_skeleton(tmp_path / "s.txt", built.n_visible)
+        for skeleton in (built, loaded):
+            assert isinstance(skeleton, SbmStructure)
+            assert skeleton.to_structure() is skeleton
+            assert skeleton == load_structure(tmp_path / "s.struct")
 
     def test_example_two_group_skeleton(self, tmp_path):
         path = tmp_path / "s.txt"
