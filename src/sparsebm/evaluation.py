@@ -67,28 +67,45 @@ def default_schedule() -> AisSchedule:
 
 @dataclass
 class AisEstimate:
-    """Log partition estimate with per-run statistics."""
+    """Log partition estimate with per-run statistics.
 
-    log_z_mean: float
-    log_z_base: float
+    For one length, doc_length is an int and log_z_mean and log_z_base are
+    floats; for several, each is an (L,) array in the lengths' order.
+    per_run_log_weights is always 1-D: one weight per chain row, the runs of
+    each length contiguous and in the lengths' order.
+    """
+
+    log_z_mean: float | np.ndarray
+    log_z_base: float | np.ndarray
     per_run_log_weights: np.ndarray
-    doc_length: int
+    doc_length: int | np.ndarray
 
     @property
     def n_runs(self) -> int:
-        return self.per_run_log_weights.size
+        """Runs per length."""
+        return self.per_run_log_weights.size // np.size(self.doc_length)
+
+    @property
+    def standard_errors(self) -> np.ndarray:
+        """(L,) delta-method standard errors of log Z, one per length."""
+        rows = self.per_run_log_weights.reshape(np.size(self.doc_length), -1)
+        return np.array([_delta_method_se(lw) for lw in rows])
 
     @property
     def standard_error(self) -> float:
-        """Delta-method standard error of log Z from the run weights."""
-        lw = self.per_run_log_weights
-        if lw.size < 2:
-            return float("inf")
-        m = lw.max()
-        w = np.exp(lw - m)
-        mean = w.mean()
-        std = w.std(ddof=1)
-        return float(std / (math.sqrt(lw.size) * mean))
+        """Delta-method standard error of log Z from the run weights; for
+        several lengths, the largest of their standard errors."""
+        return float(self.standard_errors.max())
+
+
+def _delta_method_se(lw) -> float:
+    if lw.size < 2:
+        return float("inf")
+    m = lw.max()
+    w = np.exp(lw - m)
+    mean = w.mean()
+    std = w.std(ddof=1)
+    return float(std / (math.sqrt(lw.size) * mean))
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +139,13 @@ def log_multinomial_coeff(doc: Document) -> float:
 
 def ais_log_z(
     model,
-    doc_length: int,
+    doc_length,
     schedule: AisSchedule,
     runs: int,
     rng: np.random.Generator,
 ) -> AisEstimate:
-    """Annealed importance sampling estimate of log Z for one length class.
+    """Annealed importance sampling estimate of log Z for one length class,
+    or for each of a 1-D array of distinct lengths in one chain matrix.
 
     The base distribution keeps the visible biases and scales all other
     parameters to zero, so its partition function is available in closed
@@ -135,6 +153,13 @@ def ais_log_z(
     document through the schedule with one full Gibbs step (sbm._gibbs_step,
     CD's transition) per temperature; log Z is the base value plus the
     log-mean-exp of the run weights.
+
+    With an array of lengths, the chain matrix has one row per (length,
+    run), length-major, and every row takes the same step at each
+    temperature; each length keeps its own base value, estimate and
+    standard error (AisEstimate.standard_errors). The draws interleave
+    across lengths, so an array call does not reproduce separate int calls
+    from the same rng; a one-element array does reproduce the int call.
 
     Each visible sample's node potentials theta and its u @ b are computed
     once, when it is drawn. One log-Z-only sum-product pass over the
@@ -144,40 +169,52 @@ def ais_log_z(
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if doc_length < 1:
+    several = np.ndim(doc_length) > 0
+    doc_lengths = np.atleast_1d(np.asarray(doc_length))
+    if doc_lengths.ndim != 1 or doc_lengths.size == 0:
+        raise ValueError("doc_length must be an int or a non-empty 1-d array")
+    if np.any(doc_lengths < 1):
         raise ValueError("doc_length must be at least 1")
+    if np.any(doc_lengths != np.floor(doc_lengths)):
+        raise ValueError("doc_length must hold whole numbers")
+    if np.unique(doc_lengths).size != doc_lengths.size:
+        raise ValueError("doc_length must hold distinct lengths")
     f = model.n_hidden
     betas = schedule.betas()
-    log_z_base = f * math.log(2.0) + doc_length * float(logsumexp(model.b))
+    log_z_base = f * math.log(2.0) + doc_lengths * float(logsumexp(model.b))
 
     p0 = np.exp(model.b - model.b.max())
-    lengths = np.full(runs, float(doc_length))
+    lengths = np.repeat(doc_lengths.astype(np.float64), runs)
+    rows = lengths.size
     chain = _chain(model, lengths)
-    u = _multinomial_rows(rng, lengths, np.broadcast_to(p0, (runs, p0.size)), chain.draw)
-    h = np.zeros((runs, f))
+    u = _multinomial_rows(rng, lengths, np.broadcast_to(p0, (rows, p0.size)), chain.draw)
+    h = np.zeros((rows, f))
 
     theta, edge_logw = _batch_theta(model, u, lengths)
     n_edges = edge_logw.shape[1]
     ub = u @ model.b
-    log_w = np.zeros(runs)
+    log_w = np.zeros(rows)
     for k in range(1, betas.size):
-        # log p* of the current sample at beta_k-1 (rows :runs) and beta_k
+        # log p* of the current sample at beta_k-1 (rows :rows) and beta_k
         pair = betas[k - 1 : k + 1, None, None]
         _, _, logz_h = tree_sum_product(
             model.structure,
-            (pair * theta).reshape(2 * runs, f),
-            (pair * edge_logw).reshape(2 * runs, n_edges),
+            (pair * theta).reshape(2 * rows, f),
+            (pair * edge_logw).reshape(2 * rows, n_edges),
             want_marginals=False,
         )
-        lp_prev = ub + logz_h[:runs]
-        lp_here = ub + logz_h[runs:]
+        lp_prev = ub + logz_h[:rows]
+        lp_here = ub + logz_h[rows:]
         log_w += lp_here - lp_prev
         if k < betas.size - 1:
             h, u, theta = _gibbs_step(model, chain, theta, h, rng, betas[k])
             ub = u @ model.b
+    log_z_mean = log_z_base + [log_mean_exp(w) for w in log_w.reshape(-1, runs)]
+    if several:
+        return AisEstimate(log_z_mean, log_z_base, log_w, doc_lengths)
     return AisEstimate(
-        log_z_mean=log_z_base + log_mean_exp(log_w),
-        log_z_base=log_z_base,
+        log_z_mean=float(log_z_mean[0]),
+        log_z_base=float(log_z_base[0]),
         per_run_log_weights=log_w,
         doc_length=doc_length,
     )
@@ -283,6 +320,28 @@ def per_document_log_probs(
     return lp
 
 
+# entries of one AIS chain matrix held at once: its rows times K, and its
+# tokens (runs times the summed lengths), each at most this many
+_AIS_CHAIN_WORDS = 2**20
+
+
+def _length_groups(lengths, runs: int, n_visible: int) -> list:
+    """Consecutive groups of the ascending lengths whose AIS chain matrix
+    keeps its rows x K and its tokens within _AIS_CHAIN_WORDS; a length
+    above the budget on its own gets a group of its own."""
+    groups, group, tokens = [], [], 0
+    for d in lengths:
+        rows = (len(group) + 1) * runs
+        if group and (rows * n_visible > _AIS_CHAIN_WORDS
+                      or (tokens + d) * runs > _AIS_CHAIN_WORDS):
+            groups.append(group)
+            group, tokens = [], 0
+        group.append(d)
+        tokens += d
+    groups.append(group)
+    return groups
+
+
 def held_out_log_probs(
     model,
     docs,
@@ -294,11 +353,14 @@ def held_out_log_probs(
 ):
     """Per-document log probabilities and the per-length log Z behind them.
 
-    One partition value is computed per distinct document length, in
-    ascending length order: by AIS (one ais_log_z call per length, all
-    drawing from rng), or by one call log_z_fn(model, lengths) with the
-    array of sorted distinct lengths, returning one log Z per length, such
-    as exact_log_z. Returns (log_probs, {length: log Z}).
+    One partition value is computed per distinct document length. By AIS,
+    the ascending lengths are split into consecutive groups
+    (_length_groups) and each group is one ais_log_z call, one chain matrix
+    over all its lengths, every call drawing from rng in turn; at the
+    benchmark's and the acceptance suite's sizes a model's lengths make a
+    single group. Otherwise log Z comes from one call log_z_fn(model,
+    lengths) with the array of sorted distinct lengths, returning one log Z
+    per length, such as exact_log_z. Returns (log_probs, {length: log Z}).
     """
     docs = list(docs)
     if not docs:
@@ -309,9 +371,10 @@ def held_out_log_probs(
             schedule = default_schedule()
         if rng is None:
             raise ValueError("rng is required when estimating log Z with AIS")
-        log_z_by_length = {
-            d: ais_log_z(model, d, schedule, runs, rng).log_z_mean for d in lengths
-        }
+        log_z_by_length = {}
+        for group in _length_groups(lengths, runs, model.n_visible):
+            est = ais_log_z(model, np.array(group), schedule, runs, rng)
+            log_z_by_length.update(zip(group, est.log_z_mean.tolist()))
     else:
         log_z = log_z_fn(model, np.array(lengths))
         log_z_by_length = {d: float(z) for d, z in zip(lengths, log_z)}

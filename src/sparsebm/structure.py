@@ -51,6 +51,20 @@ class Skeleton(SbmStructure):
                          tree_edges)
         self.provenance = provenance
 
+    @classmethod
+    def from_mask(cls, mask, tree_edges, provenance: str = "built") -> "Skeleton":
+        """The skeleton whose groups are the True entries of each row of an
+        (F, K) mask, built through the group checks, so every column must be
+        True in exactly one row. SbmStructure.full builds through it too."""
+        mask = np.array(mask, dtype=bool)
+        if mask.ndim != 2 or mask.size == 0:
+            raise ValueError("mask must be a non-empty 2-d array")
+        skeleton = cls([np.flatnonzero(row) for row in mask], tree_edges, provenance)
+        if skeleton.n_visible < mask.shape[1]:
+            # the group checks see words up to the last assigned one only
+            raise StructureError(f"visible {skeleton.n_visible} unassigned")
+        return skeleton
+
     @property
     def groups(self) -> list:
         """Each hidden unit's words, ascending."""

@@ -783,6 +783,57 @@ class TestPipeline:
         exact_ppl = perplexity(model, test_corpus.docs, log_z_fn=exact_log_z)
         assert ais_ppl == pytest.approx(exact_ppl, rel=0.03)
 
+    def test_every_ais_weight_comes_through_one_call_per_length_group(
+            self, small_corpus_files, tmp_path, monkeypatch):
+        """AIS is observed from outside by wrapping the module-level
+        evaluation.ais_log_z, as the benchmark's finite-weight check does. So
+        the pipeline's eval stage and `sparsebm eval` make one call per model
+        per length group, and every result holds finite 1-D run weights and a
+        float standard error."""
+        from sparsebm import evaluation
+        from sparsebm.corpus import load_uci_bow
+
+        real = evaluation.ais_log_z
+        calls = []
+
+        def counting(model, doc_length, *args, **kwargs):
+            estimate = real(model, doc_length, *args, **kwargs)
+            calls.append((np.atleast_1d(doc_length).tolist(), estimate))
+            return estimate
+
+        def check(groups, models):
+            assert [lengths for lengths, _ in calls] == groups * models
+            for _, estimate in calls:
+                weights = estimate.per_run_log_weights
+                assert isinstance(weights, np.ndarray) and weights.ndim == 1
+                assert np.all(np.isfinite(weights))
+                assert type(estimate.standard_error) is float
+            calls.clear()
+
+        monkeypatch.setattr(evaluation, "ais_log_z", counting)
+        _, prefix = small_corpus_files
+        out_dir = tmp_path / "run"
+        config = self.make_config(prefix, out_dir)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["pipeline", "--config", config_path]) == 0
+        test_corpus, _ = load_uci_bow(out_dir / "test.docword.txt",
+                                      out_dir / "test.vocab.txt")
+        lengths = sorted({doc.length for doc in test_corpus.docs})
+        runs, k = config["eval"]["ais_runs"], test_corpus.n_words
+        assert evaluation._length_groups(lengths, runs, k) == [lengths]
+        check([lengths], len(config["variants"]))
+
+        eval_argv = ["eval", "--model", out_dir / "sbm_sfc.sbm", "--docs",
+                     out_dir / "test", "--ais-runs", runs, "--schedule", "0:1:5"]
+        assert run(eval_argv) == 0
+        check([lengths], 1)
+        # a budget of two lengths' rows splits the lengths into groups
+        monkeypatch.setattr(evaluation, "_AIS_CHAIN_WORDS", 2 * runs * k)
+        groups = [lengths[i:i + 2] for i in range(0, len(lengths), 2)]
+        assert run(eval_argv) == 0
+        check(groups, 1)
+
     def test_pipeline_reproducibility(self, small_corpus_files, tmp_path):
         _, prefix = small_corpus_files
         out_a = tmp_path / "a"

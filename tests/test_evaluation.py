@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from sparsebm.corpus import Document
 from sparsebm.errors import FileFormatError
-from sparsebm import evaluation
+from sparsebm import evaluation, sbm
 from sparsebm.evaluation import (
     AisSchedule,
     EmbeddingTable,
@@ -29,7 +30,7 @@ from sparsebm.sbm import (
     _multinomial_rows,
     tree_sum_product,
 )
-from sparsebm.util import rng_from
+from sparsebm.util import log_mean_exp, rng_from
 
 from conftest import (
     count_vector_expectations,
@@ -47,6 +48,13 @@ def zero_rs(f, k):
 def reference_ais_log_weights(model, doc_length, schedule, runs, rng):
     """AIS run weights with log p* evaluated on its own at each temperature,
     before and after every transition, from the counts of the sample."""
+    return reference_ais_row_log_weights(
+        model, np.full(runs, float(doc_length)), schedule, rng)
+
+
+def reference_ais_row_log_weights(model, lengths, schedule, rng):
+    """reference_ais_log_weights over a chain whose rows may differ in
+    length: row r anneals a document of lengths[r] tokens."""
 
     def log_p_star(u, lengths, beta):
         theta, edge_logw = _batch_theta(model, u, lengths)
@@ -56,7 +64,7 @@ def reference_ais_log_weights(model, doc_length, schedule, runs, rng):
 
     betas = schedule.betas()
     p0 = np.exp(model.b - model.b.max())
-    lengths = np.full(runs, float(doc_length))
+    runs = lengths.size
     u = _multinomial_rows(rng, lengths, np.tile(p0, (runs, 1)))
     h = np.zeros((runs, model.n_hidden))
     log_w = np.zeros(runs)
@@ -71,6 +79,17 @@ def reference_ais_log_weights(model, doc_length, schedule, runs, rng):
             u = _multinomial_rows(rng, lengths, weights)
             lp_prev = log_p_star(u, lengths, betas[k])
     return log_w
+
+
+def tree_model(rng):
+    """F=6, K=5: unit 0 branches to 1, 2 and 3; 3 continues to 4; 5 is
+    isolated."""
+    f, k = 6, 5
+    s = SbmStructure(f, k, [(j, j % k) for j in range(f)] + [(0, 3), (4, 1)],
+                     [(0, 1), (0, 2), (0, 3), (3, 4)])
+    return SbmModel(s, np.where(s.mask(), rng.normal(0, 0.8, (f, k)), 0.0),
+                    rng.normal(0, 0.5, 4), rng.normal(0, 0.3, f),
+                    rng.normal(0, 0.5, k))
 
 
 class TestSchedule:
@@ -306,6 +325,127 @@ class TestAis:
         est = ais_log_z(model, 6, sched, runs=11, rng=rng_from(4, 8))
         ref = reference_ais_log_weights(model, 6, sched, 11, rng_from(4, 8))
         assert np.array_equal(est.per_run_log_weights, ref)
+
+
+class TestAisOverLengths:
+    """ais_log_z over an array of lengths: one chain matrix, rows (length,
+    run) length-major."""
+
+    @pytest.mark.parametrize("kind", ["tree", "rs"])
+    def test_row_weights_match_mixed_length_reference_bitwise(self, kind):
+        rng = np.random.default_rng(21)
+        model = tree_model(rng) if kind == "tree" else random_rs_model(rng, 20, 9, scale=0.3)
+        sched = AisSchedule([(0.0, 0.5, 15), (0.5, 1.0, 25)])
+        doc_lengths = np.array([6, 1, 13])
+        est = ais_log_z(model, doc_lengths, sched, runs=7, rng=rng_from(4, 8))
+        ref = reference_ais_row_log_weights(
+            model, np.repeat(doc_lengths, 7).astype(np.float64), sched, rng_from(4, 8))
+        assert est.per_run_log_weights.shape == (21,)
+        assert np.array_equal(est.per_run_log_weights, ref)
+        assert np.array_equal(est.doc_length, doc_lengths)
+        assert est.n_runs == 7
+
+    def test_per_length_statistics(self):
+        model = random_rs_model(np.random.default_rng(9), 3, 4, scale=0.5)
+        sched = AisSchedule([(0.0, 1.0, 30)])
+        doc_lengths = np.array([2, 5])
+        est = ais_log_z(model, doc_lengths, sched, runs=16, rng=rng_from(0, 9))
+        rows = est.per_run_log_weights.reshape(2, 16)
+        for i, d in enumerate(doc_lengths):
+            single = evaluation.AisEstimate(est.log_z_mean[i], est.log_z_base[i],
+                                            rows[i], int(d))
+            assert est.log_z_base[i] == 3 * math.log(2) + d * float(logsumexp(model.b))
+            assert est.log_z_mean[i] == est.log_z_base[i] + log_mean_exp(rows[i])
+            assert est.standard_errors[i] == single.standard_error
+        assert isinstance(est.standard_error, float)
+        assert est.standard_error == est.standard_errors.max()
+
+    @pytest.mark.parametrize("kind", ["tree", "rs"])
+    def test_one_length_array_is_the_int_call_bitwise(self, kind):
+        rng = np.random.default_rng(5)
+        model = tree_model(rng) if kind == "tree" else random_rs_model(rng, 4, 9, scale=0.4)
+        sched = AisSchedule([(0.0, 0.5, 10), (0.5, 1.0, 20)])
+        one = ais_log_z(model, 6, sched, runs=11, rng=rng_from(2, 7))
+        array = ais_log_z(model, np.array([6]), sched, runs=11, rng=rng_from(2, 7))
+        assert np.array_equal(array.per_run_log_weights, one.per_run_log_weights)
+        assert array.log_z_mean.tolist() == [one.log_z_mean]
+        assert array.log_z_base.tolist() == [one.log_z_base]
+        assert array.standard_error == one.standard_error
+        assert isinstance(one.log_z_mean, float) and one.doc_length == 6
+
+    @pytest.mark.parametrize("doc_length, message", [
+        (np.array([3, 3]), "distinct"),
+        (np.array([0, 3]), "at least 1"),
+        (np.array([2.5]), "whole numbers"),
+        (np.array([], dtype=np.int64), "non-empty"),
+        (np.array([[2, 3]]), "non-empty 1-d"),
+    ])
+    def test_bad_lengths_refused(self, doc_length, message):
+        with pytest.raises(ValueError, match=message):
+            ais_log_z(zero_rs(2, 3), doc_length, AisSchedule([(0.0, 1.0, 2)]),
+                      runs=3, rng=rng_from(0))
+
+    @pytest.mark.parametrize("kind", ["tree", "rs"])
+    def test_per_length_estimates_within_two_se_of_exact(self, kind):
+        # criterion 3's rate, 9 in 10 estimates within 2 standard errors,
+        # over every (length, seed) of ten six-length chain matrices; asking
+        # it of each length alone would fail a calibrated estimator about
+        # two times in five
+        rng_model = np.random.default_rng(3003)
+        if kind == "tree":
+            model = random_sbm_model(rng_model, 4, 5, scale=0.5)
+        else:
+            model = random_rs_model(rng_model, 4, 5, scale=0.5)
+        doc_lengths = np.arange(1, 7)
+        exact = exact_log_z(model, doc_lengths)
+        sched = AisSchedule([(0.0, 0.5, 50), (0.5, 0.9, 150), (0.9, 1.0, 300)])
+        hits = np.zeros(doc_lengths.size, dtype=int)
+        for seed in range(10):
+            est = ais_log_z(model, doc_lengths, sched, runs=100, rng=rng_from(seed, 3003))
+            hits += np.abs(est.log_z_mean - exact) <= 2 * est.standard_errors
+        assert hits.sum() >= 0.9 * 10 * doc_lengths.size, hits
+
+    def test_length_groups_keep_every_chain_matrix_within_budget(self, monkeypatch):
+        k, runs = 1000, 100
+        budget = evaluation._AIS_CHAIN_WORDS
+        model = random_rs_model(np.random.default_rng(1), 3, k, scale=0.1)
+        lengths = list(range(150, 1250, 20))
+        docs = [Document([0, 1], [d - 1, 1]) for d in lengths]
+        shapes = []
+
+        def recording(rng, row_lengths, w, plan=None):
+            shapes.append((w.shape, int(row_lengths.sum())))
+            return _multinomial_rows(rng, row_lengths, w, plan)
+
+        calls = []
+
+        def counting(model, doc_length, *args):
+            calls.append(doc_length.tolist())
+            return ais_log_z(model, doc_length, *args)
+
+        monkeypatch.setattr(evaluation, "_multinomial_rows", recording)
+        monkeypatch.setattr(sbm, "_multinomial_rows", recording)
+        monkeypatch.setattr(evaluation, "ais_log_z", counting)
+        _, log_z = evaluation.held_out_log_probs(
+            model, docs, AisSchedule([(0.0, 1.0, 2)]), runs, rng_from(0, 1))
+        assert sorted(log_z) == lengths
+        assert [d for group in calls for d in group] == lengths
+        assert len(calls) > 1
+        assert len(shapes) == 2 * len(calls)
+        for (rows, cols), tokens in shapes:
+            assert cols == k
+            assert rows * cols <= budget and tokens <= budget
+        # a group ends only where the next length would cross the budget
+        for group, after in zip(calls, calls[1:]):
+            rows = (len(group) + 1) * runs
+            assert rows * k > budget or runs * (sum(group) + after[0]) > budget
+
+    def test_a_length_above_the_budget_gets_its_own_group(self):
+        budget = evaluation._AIS_CHAIN_WORDS
+        big = budget // 10 + 1
+        assert evaluation._length_groups([1, big, big + 1, 2 * big], 10, 1) == [
+            [1], [big], [big + 1], [2 * big]]
+        assert evaluation._length_groups([3, 4], 1, 1) == [[3, 4]]
 
 
 class TestPerplexity:

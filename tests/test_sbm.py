@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.special import expit
 
+from sparsebm import sbm
 from sparsebm.corpus import Corpus, Document
 from sparsebm.errors import FileFormatError, StructureError
 from sparsebm.evaluation import exact_expectations, exact_log_prob
@@ -76,6 +77,41 @@ class TestStructure:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(StructureError):
             SbmStructure(1, 2, [(0, 0), (0, 0)], [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_visible_edge_checks_match_per_edge_loop(self, data):
+        """The vectorised range, duplicate and placement checks against the
+        per-edge loop they replace: the same mask, or the same message for
+        the first faulty edge in input order."""
+        f, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        edges = data.draw(st.lists(st.tuples(st.integers(-2, f + 1), st.integers(-2, k + 1)),
+                                   max_size=10))
+        expected = np.zeros((f, k), dtype=bool)
+        for j, v in edges:
+            if not 0 <= j < f:
+                expected = f"hidden index {j} out of range"
+            elif not 0 <= v < k:
+                expected = f"visible index {v} out of range"
+            elif expected[j, v]:
+                expected = f"duplicate visible edge ({j}, {v})"
+            else:
+                expected[j, v] = True
+                continue
+            break
+        if not isinstance(expected, str) and not expected.any(axis=1).all():
+            expected = f"hidden unit {np.flatnonzero(~expected.any(axis=1))[0]} has no visible edge"
+        if isinstance(expected, str):
+            with pytest.raises(StructureError) as info:
+                SbmStructure(f, k, edges, [])
+            assert str(info.value) == expected
+        else:
+            assert np.array_equal(SbmStructure(f, k, edges, []).mask(), expected)
+            assert np.array_equal(SbmStructure(f, k, np.array(edges), []).mask(), expected)
+
+    def test_visible_edges_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            SbmStructure(2, 3, [(0, 0, 1), (1, 1, 2)], [])
 
     def test_mask_matches_edges(self):
         s = SbmStructure(2, 3, [(0, 0), (0, 2), (1, 1)], [(0, 1)])
@@ -472,6 +508,25 @@ class TestMultinomialRows:
             assert np.all(totals[~live] == 0.0)
             _, p_value = chisquare(totals[live], expected[live])
             assert p_value > 1e-3, (g, p_value)
+
+    def test_blocked_search_is_one_search_over_all_rows(self):
+        # each searchsorted call covers a block of rows; the draws are those
+        # of one search over every row's offset CDF, from the same uniforms
+        rng = np.random.default_rng(44)
+        rows = 3 * sbm._SEARCH_ROWS + 5
+        w = rng.random((rows, 7)) ** 4
+        w[rng.random((rows, 7)) < 0.3] = 0.0
+        w[:, 3] += 1e-3
+        lengths = rng.integers(1, 40, rows).astype(np.float64)
+        u = _multinomial_rows(rng_from(0, 44), lengths, w)
+        offsets = 2.0 * np.arange(rows)
+        row = np.repeat(np.arange(rows), lengths.astype(np.int64))
+        cdf = np.cumsum(w, axis=1)
+        cdf = cdf / cdf[:, -1:] + offsets[:, None]
+        keys = np.minimum(rng_from(0, 44).random(row.size) + offsets[row],
+                          np.nextafter(offsets + 1.0, 0.0)[row])
+        words = np.searchsorted(cdf.ravel(), np.sort(keys), side="right")
+        assert np.array_equal(u, np.bincount(words, minlength=rows * 7).reshape(rows, 7))
 
     def test_draws_ignore_a_power_of_two_scale(self):
         # only the CDF is normalised, and scaling by 2^40 is exact

@@ -237,6 +237,29 @@ class TestGreedyGroups:
         assert sorted(v for g in expected for v in g) == list(range(k))
 
 
+class TestSkeletonConstructors:
+    def test_from_mask_runs_the_group_checks(self):
+        with pytest.raises(StructureError, match="visible 0 assigned twice"):
+            Skeleton.from_mask(np.ones((2, 3)), [])
+        with pytest.raises(StructureError, match="hidden unit 1 has an empty group"):
+            Skeleton.from_mask([[1, 1], [0, 0]], [])
+        with pytest.raises(StructureError, match="visible 3 unassigned"):
+            Skeleton.from_mask([[1, 0, 0, 0], [0, 1, 1, 0]], [])
+
+    def test_from_mask_is_the_skeleton_of_its_rows(self):
+        skeleton = Skeleton.from_mask([[1, 0, 1], [0, 1, 0]], [(0, 1)], provenance="loaded")
+        assert skeleton == Skeleton([[0, 2], [1]], [(0, 1)])
+        assert skeleton.provenance == "loaded"
+        assert Skeleton.from_mask([[1, 0, 1], [0, 1, 0]], []).provenance == "built"
+
+    def test_full_is_refused_unless_one_unit_owns_every_word(self):
+        with pytest.raises(StructureError, match="visible 0 assigned twice"):
+            Skeleton.full(2, 3)
+        one = Skeleton.full(1, 3)
+        assert isinstance(one, Skeleton) and one.provenance == "built"
+        assert [g.tolist() for g in one.groups] == [[0, 1, 2]]
+
+
 class TestSkeletonIo:
     def test_round_trip(self, tmp_path):
         skeleton = Skeleton(groups=[[0, 1, 2], [3, 4, 5, 6]], tree_edges=[(0, 1)])
