@@ -275,12 +275,11 @@ def _prune(model_path, corpus, output, log_out, *, prune):
 
 def _held_out_docs(corpus, max_docs, seed):
     """All documents, or max_docs drawn without replacement, in corpus order."""
-    docs = list(corpus.docs)
-    if max_docs is not None and max_docs < len(docs):
-        picker = rng_from(seed, _EVAL_STREAM, 7)
-        idx = picker.choice(len(docs), size=max_docs, replace=False)
-        docs = [docs[i] for i in sorted(idx)]
-    return docs
+    if max_docs is None or max_docs >= corpus.n_docs:
+        return corpus.docs
+    picker = rng_from(seed, _EVAL_STREAM, 7)
+    idx = picker.choice(corpus.n_docs, size=max_docs, replace=False)
+    return corpus.doc_rows(np.sort(idx))
 
 
 def _score(model_path, docs_prefix, *, ais_runs=100, schedule="default", exact=False,

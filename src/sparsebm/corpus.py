@@ -99,7 +99,10 @@ class Document:
 
 
 class Corpus:
-    """Immutable collection of documents over one fixed vocabulary."""
+    """Immutable collection of documents over one fixed vocabulary, held as
+    one (n_docs, n_words) int64 CSR count matrix with rows in document
+    order. `docs` makes Document views of its rows on each call, so a pass
+    over the documents calls it once."""
 
     def __init__(self, vocab, docs, name: str = ""):
         vocab = list(vocab)
@@ -114,10 +117,23 @@ class Corpus:
                 raise StructureError(
                     f"document {i} references word index {int(d.words[-1])} >= K={k}"
                 )
+        sizes = np.fromiter((d.words.size for d in docs), np.int64, len(docs))
+        indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        none = [np.zeros(0, dtype=np.int64)]
+        words = np.concatenate([d.words for d in docs] or none)
+        counts = np.concatenate([d.counts for d in docs] or none)
         self.vocab = vocab
-        self.docs = docs
         self.name = name
-        self._csr = None
+        self._csr = sp.csr_matrix((counts, words, indptr), shape=(len(docs), k))
+
+    @classmethod
+    def _from_csr(cls, vocab, csr, name) -> "Corpus":
+        """Wrap a checked vocabulary and an int64 count CSR whose rows are
+        non-empty, with sorted, unique columns and positive counts."""
+        corpus = cls.__new__(cls)
+        corpus.vocab, corpus._csr, corpus.name = vocab, csr, name
+        return corpus
 
     @property
     def n_words(self) -> int:
@@ -125,23 +141,26 @@ class Corpus:
 
     @property
     def n_docs(self) -> int:
-        return len(self.docs)
+        return self._csr.shape[0]
+
+    @property
+    def docs(self) -> list:
+        """Every document, as views made anew on each call; see doc_rows."""
+        return self.doc_rows(slice(None))
+
+    def doc_rows(self, rows) -> list:
+        """Document views of the rows selected by rows (a slice or an index
+        array), made anew on each call from a copy of those rows."""
+        part = self._csr[rows]
+        # scipy keeps column indices as int32 where they fit
+        words = part.indices.astype(np.int64)
+        bounds = part.indptr.tolist()
+        return [Document._trusted(words[a:b], part.data[a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])]
 
     def count_csr(self) -> sp.csr_matrix:
         """The (n_docs, n_words) int64 count matrix in CSR form, rows in
-        document order; built on first use and kept, since the corpus does
-        not change."""
-        if self._csr is None:
-            docs = self.docs
-            sizes = np.fromiter((d.words.size for d in docs), np.int64, len(docs))
-            indptr = np.zeros(len(docs) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            none = [np.zeros(0, dtype=np.int64)]
-            words = np.concatenate([d.words for d in docs] or none)
-            counts = np.concatenate([d.counts for d in docs] or none)
-            self._csr = sp.csr_matrix(
-                (counts, words, indptr), shape=(len(docs), self.n_words)
-            )
+        document order: the corpus itself, the same object on every call."""
         return self._csr
 
     def occurrence_csr(self) -> sp.csr_matrix:
@@ -254,31 +273,31 @@ def load_uci_bow(docword_path, vocab_path):
             raise _body_error(fh, n_docs, k, nnz)
     _check_unique_vocab(vocab, vocab_path)
 
-    # sum repeated (doc, word) lines, then cut the sorted rows into documents
+    # sum repeated (doc, word) lines, then cut the sorted entries into rows
     key = (rows[:, 0] - 1) * k + (rows[:, 1] - 1)
+    count = rows[:, 2].copy()
+    # free the (n, 3) rows before the sort, whose arrays then set the peak
+    del rows
     order = np.argsort(key)
-    key = key[order]
+    key, count = key[order], count[order]
+    del order
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    count = np.add.reduceat(rows[order, 2], starts)
     doc, word = np.divmod(key[starts], k)
-    if rows.size and rows[:, 2].max() > _INT64_MAX // rows.shape[0]:
+    if count.size and count.max() > _INT64_MAX // count.size:
         # only counts this large can sum past 64 bits, where int64 wraps
-        exact = np.add.reduceat(rows[order, 2].astype(object), starts)
+        exact = np.add.reduceat(count.astype(object), starts)
         big = int(np.argmax(exact))
         if exact[big] > _INT64_MAX:
             raise FileFormatError(
                 f"summed count of doc ID {doc[big] + 1} word ID {word[big] + 1}"
                 " exceeds 64 bits"
             )
-    bounds = np.searchsorted(doc, np.arange(n_docs + 1)).tolist()
-    # copies, not views: a document kept on its own must not keep the whole
-    # file's arrays alive
-    docs = [
-        Document._trusted(word[a:b].copy(), count[a:b].copy())
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    return Corpus(vocab, docs, name=str(docword_path)), n_docs - len(docs)
+    count = np.add.reduceat(count, starts)
+    # an empty document repeats its successor's row bound, so the unique
+    # bounds drop it
+    indptr = np.unique(np.searchsorted(doc, np.arange(n_docs + 1)))
+    csr = sp.csr_matrix((count, word, indptr), shape=(indptr.size - 1, k))
+    return Corpus._from_csr(vocab, csr, str(docword_path)), n_docs - csr.shape[0]
 
 
 def _bulk_rows(fh):
@@ -364,18 +383,14 @@ def save_uci_bow(corpus: Corpus, docword_path, vocab_path) -> None:
     """Write a corpus back out as a UCI docword/vocab pair (1-based IDs)."""
     with open(vocab_path, "w", encoding="utf-8") as fh:
         fh.write("".join(word + "\n" for word in corpus.vocab))
-    docs = corpus.docs
-    sizes = [d.words.size for d in docs]
-    nnz = sum(sizes)
+    csr = corpus.count_csr()
     with open(docword_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{corpus.n_docs}\n{corpus.n_words}\n{nnz}\n")
-        if not nnz:
-            return
-        rows = np.empty((nnz, 3), dtype=np.int64)
-        rows[:, 0] = np.repeat(np.arange(1, len(docs) + 1), sizes)
-        rows[:, 1] = np.concatenate([d.words for d in docs]) + 1
-        rows[:, 2] = np.concatenate([d.counts for d in docs])
-        for start in range(0, nnz, _WRITE_ROWS):
+        fh.write(f"{corpus.n_docs}\n{corpus.n_words}\n{csr.nnz}\n")
+        rows = np.empty((csr.nnz, 3), dtype=np.int64)
+        rows[:, 0] = np.repeat(np.arange(1, corpus.n_docs + 1), np.diff(csr.indptr))
+        rows[:, 1] = csr.indices + 1
+        rows[:, 2] = csr.data
+        for start in range(0, csr.nnz, _WRITE_ROWS):
             block = rows[start : start + _WRITE_ROWS]
             fh.write("%d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
@@ -393,6 +408,7 @@ def select_vocab(corpus: Corpus, k: int, method: str = "frequency") -> Corpus:
         raise ValueError(f"K={k} exceeds vocabulary size {corpus.n_words}")
     if k <= 0:
         raise ValueError("K must be positive")
+    csr = corpus.count_csr()
     if method == "frequency":
         scores = corpus.total_counts().astype(np.float64)
     elif method == "tfidf":
@@ -401,10 +417,11 @@ def select_vocab(corpus: Corpus, k: int, method: str = "frequency") -> Corpus:
         idf = np.zeros(corpus.n_words)
         present = df > 0
         idf[present] = np.log(n / df[present])
-        acc = np.zeros(corpus.n_words)
-        for d in corpus.docs:
-            acc[d.words] += (d.counts / d.length) * idf[d.words]
-        scores = acc / n
+        lengths = np.repeat(np.asarray(csr.sum(axis=1)).ravel(), np.diff(csr.indptr))
+        # bincount adds each word's terms in document order, as a loop would
+        acc = np.bincount(csr.indices, (csr.data / lengths) * idf[csr.indices], corpus.n_words)
+        # an empty corpus scores every word 0, as by frequency
+        scores = acc / max(n, 1)
     else:
         raise ValueError(f"unknown method {method!r}, want one of {SELECT_METHODS}")
 
@@ -412,15 +429,13 @@ def select_vocab(corpus: Corpus, k: int, method: str = "frequency") -> Corpus:
     keep = np.sort(order[:k])
     remap = -np.ones(corpus.n_words, dtype=np.int64)
     remap[keep] = np.arange(k)
-
-    new_vocab = [corpus.vocab[i] for i in keep]
-    new_docs = []
-    for d in corpus.docs:
-        mask = remap[d.words] >= 0
-        if not mask.any():
-            continue
-        new_docs.append(Document(remap[d.words[mask]], d.counts[mask]))
-    return Corpus(new_vocab, new_docs, name=corpus.name)
+    words = remap[csr.indices]
+    kept = words >= 0
+    # row bounds among the kept entries; a document emptied by the cut
+    # repeats its successor's bound, so the unique bounds drop it
+    indptr = np.unique(np.concatenate(([0], np.cumsum(kept)))[csr.indptr])
+    cut = sp.csr_matrix((csr.data[kept], words[kept], indptr), shape=(indptr.size - 1, k))
+    return Corpus._from_csr([corpus.vocab[i] for i in keep], cut, corpus.name)
 
 
 def split_indices(n_docs: int, seed: int, n_train: int, n_val: int, n_test: int):
@@ -443,18 +458,9 @@ def split_corpus(
     """Deterministically split a corpus; all three parts share the vocab."""
     tr, va, te = split_indices(corpus.n_docs, seed, n_train, n_val, n_test)
 
-    def take(idx):
-        return Corpus(corpus.vocab, [corpus.docs[i] for i in idx], name=corpus.name)
-
-    return CorpusSplit(
-        train=take(tr),
-        validation=take(va),
-        test=take(te),
-        seed=seed,
-        train_indices=tr,
-        validation_indices=va,
-        test_indices=te,
-    )
+    csr = corpus.count_csr()
+    parts = [Corpus._from_csr(corpus.vocab, csr[idx], corpus.name) for idx in (tr, va, te)]
+    return CorpusSplit(*parts, seed, tr, va, te)
 
 
 def save_split_manifest(split: CorpusSplit, path) -> None:
@@ -485,7 +491,8 @@ def minibatch_indices(n_docs: int, batch_size: int, seed: int, epoch: int = 0):
 
 def minibatches(corpus: Corpus, batch_size: int, seed: int, epoch: int = 0):
     """Minibatches of documents for one epoch; see minibatch_indices."""
+    docs = corpus.docs
     return [
-        [corpus.docs[i] for i in idx]
+        [docs[i] for i in idx]
         for idx in minibatch_indices(corpus.n_docs, batch_size, seed, epoch)
     ]

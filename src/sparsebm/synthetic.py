@@ -40,6 +40,31 @@ def split_groups(n_words: int, n_groups: int):
     return groups
 
 
+def _word_groups(n_words, n_groups, doc_len_range, planted):
+    """The set-up both generators share: check the settings, then
+    (groups, word_group, planted) with planted as (group, word) int pairs,
+    none of which names a word of its own group."""
+    if n_groups < 1 or n_words < n_groups:
+        raise ValueError("need at least one word per group")
+    lo, hi = doc_len_range
+    if lo < 1 or hi < lo:
+        raise ValueError("bad document length range")
+    groups = split_groups(n_words, n_groups)
+    word_group = np.empty(n_words, dtype=np.int64)
+    for g, members in enumerate(groups):
+        word_group[members] = g
+    planted = [(int(g), int(w)) for g, w in planted or []]
+    for g, w in planted:
+        if word_group[w] == g:
+            raise ValueError(f"planted word {w} already belongs to group {g}")
+    return groups, word_group, planted
+
+
+def _synthetic(docs, groups, word_group, planted, name) -> SyntheticCorpus:
+    vocab = [f"w{k:03d}" for k in range(word_group.size)]
+    return SyntheticCorpus(Corpus(vocab, docs, name=name), word_group, planted, groups)
+
+
 def sparse_topic_corpus(
     n_docs: int,
     seed: int,
@@ -65,22 +90,9 @@ def sparse_topic_corpus(
     document with probability planted_rate, creating a cross-group
     dependence that the word's own group cannot explain.
     """
-    if n_groups < 1 or n_words < n_groups:
-        raise ValueError("need at least one word per group")
+    groups, word_group, planted = _word_groups(n_words, n_groups, doc_len_range, planted)
     lo, hi = doc_len_range
-    if lo < 1 or hi < lo:
-        raise ValueError("bad document length range")
     rng = rng_from(seed, _GEN_STREAM)
-    groups = split_groups(n_words, n_groups)
-    word_group = np.empty(n_words, dtype=np.int64)
-    for g, members in enumerate(groups):
-        word_group[members] = g
-    if planted is None:
-        planted = []
-    planted = [(int(g), int(w)) for g, w in planted]
-    for g, w in planted:
-        if word_group[w] == g:
-            raise ValueError(f"planted word {w} already belongs to group {g}")
 
     base_uniform = np.full(n_words, 1.0 / n_words)
     docs = []
@@ -106,13 +118,7 @@ def sparse_topic_corpus(
         words = np.nonzero(counts)[0]
         docs.append(Document(words, counts[words]))
 
-    vocab = [f"w{k:03d}" for k in range(n_words)]
-    return SyntheticCorpus(
-        corpus=Corpus(vocab, docs, name=name),
-        word_group=word_group,
-        planted=planted,
-        group_words=groups,
-    )
+    return _synthetic(docs, groups, word_group, planted, name)
 
 
 def boltzmann_corpus(
@@ -145,25 +151,12 @@ def boltzmann_corpus(
     from .evaluation import _hidden_marginal_chunks
     from .sbm import SbmModel, SbmStructure
 
-    if n_groups < 1 or n_words < n_groups:
-        raise ValueError("need at least one word per group")
+    groups, word_group, planted = _word_groups(n_words, n_groups, doc_len_range, planted)
     lo, hi = doc_len_range
-    if lo < 1 or hi < lo:
-        raise ValueError("bad document length range")
     rng = rng_from(seed, _GEN_STREAM, 2)
-    groups = split_groups(n_words, n_groups)
-    word_group = np.empty(n_words, dtype=np.int64)
-    for g, members in enumerate(groups):
-        word_group[members] = g
-    if planted is None:
-        planted = []
-    planted = [(int(g), int(w)) for g, w in planted]
 
     edges = [(g, int(k)) for g, members in enumerate(groups) for k in members]
-    for g, w in planted:
-        if word_group[w] == g:
-            raise ValueError(f"planted word {w} already belongs to group {g}")
-        edges.append((g, w))
+    edges += planted
     tree = [(g, g + 1) for g in range(n_groups - 1)]
     structure = SbmStructure(n_groups, n_words, edges, tree)
 
@@ -212,14 +205,7 @@ def boltzmann_corpus(
         words = np.nonzero(counts)[0]
         docs.append(Document(words, counts[words]))
 
-    vocab = [f"w{k:03d}" for k in range(n_words)]
-    made = SyntheticCorpus(
-        corpus=Corpus(vocab, docs, name=name),
-        word_group=word_group,
-        planted=planted,
-        group_words=groups,
-    )
-    return made, truth
+    return _synthetic(docs, groups, word_group, planted, name), truth
 
 
 def main(argv=None) -> int:

@@ -223,6 +223,10 @@ class TestSelectVocab:
         assert out.vocab == ["b"]
         assert out.n_docs == 1
 
+    def test_tfidf_on_empty_corpus_scores_like_frequency(self):
+        out = select_vocab(Corpus(["a", "b", "c"], []), 2, "tfidf")
+        assert (out.vocab, out.n_docs) == (["a", "b"], 0)
+
     def test_k_too_large(self, tiny_corpus):
         with pytest.raises(ValueError):
             select_vocab(tiny_corpus, 4)
