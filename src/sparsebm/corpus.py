@@ -386,12 +386,14 @@ def save_uci_bow(corpus: Corpus, docword_path, vocab_path) -> None:
     csr = corpus.count_csr()
     with open(docword_path, "w", encoding="utf-8") as fh:
         fh.write(f"{corpus.n_docs}\n{corpus.n_words}\n{csr.nnz}\n")
-        rows = np.empty((csr.nnz, 3), dtype=np.int64)
-        rows[:, 0] = np.repeat(np.arange(1, corpus.n_docs + 1), np.diff(csr.indptr))
-        rows[:, 1] = csr.indices + 1
-        rows[:, 2] = csr.data
+        # one block of nonzeros at a time, so the only copies are a block's
         for start in range(0, csr.nnz, _WRITE_ROWS):
-            block = rows[start : start + _WRITE_ROWS]
+            entries = np.arange(start, min(start + _WRITE_ROWS, csr.nnz))
+            block = np.empty((entries.size, 3), dtype=np.int64)
+            # the 1-based document of each nonzero
+            block[:, 0] = np.searchsorted(csr.indptr, entries, side="right")
+            block[:, 1] = csr.indices[entries] + 1
+            block[:, 2] = csr.data[entries]
             fh.write("%d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -13,6 +13,7 @@ set and no tree. Both run through the code here.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -845,10 +846,23 @@ def _parse_vector(sections, name, size, path):
 
 
 def _parse_edges(sections, name, path, weighted):
-    """The (j, l) pairs of an edge section and, when weighted, the weight
-    that ends each line."""
+    """The (n, 2) int64 (j, l) pairs of an edge section and, when weighted,
+    the float64 weight that ends each line, with every weight finite. The
+    section converts in one numpy step; only a section that fails is read
+    again line by line, to name its first malformed line."""
+    lines = sections.get(name, [])
+    columns = [("j", np.int64), ("l", np.int64)] + [("w", np.float64)] * weighted
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads "3.0" as an integer with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=columns, comments=None, ndmin=1) if lines else None
+    except (ValueError, OverflowError, DeprecationWarning):
+        table = None
+    if table is not None and (not weighted or np.isfinite(table["w"]).all()):
+        return np.stack([table["j"], table["l"]], axis=1), table["w"] if weighted else np.zeros(0)
     edges, weights = [], []
-    for line in sections.get(name, []):
+    for line in lines:
         try:
             j, l, *weight = line.split()
             if len(weight) != int(weighted):
@@ -858,7 +872,7 @@ def _parse_edges(sections, name, path, weighted):
         except ValueError:
             kind = name.split("_")[0]
             raise FileFormatError(f"{path}: malformed {kind} edge {line!r}") from None
-    return edges, weights
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(weights, dtype=np.float64)
 
 
 def save_structure(structure: SbmStructure, path) -> None:
@@ -915,9 +929,9 @@ def load_sbm_model(path) -> SbmModel:
     tree, tree_weights = _parse_edges(sections, "tree_edges", path, weighted=True)
     structure = SbmStructure(f, k, visible, tree)
     w = np.zeros((f, k))
-    rows, cols = np.array(visible, dtype=np.int64).reshape(-1, 2).T
-    w[rows, cols] = weights
-    wt = [x for _, x in sorted(zip([(min(j, l), max(j, l)) for j, l in tree], tree_weights))]
+    w[visible[:, 0], visible[:, 1]] = weights
+    # the structure keeps its tree edges as sorted (lower, higher) pairs
+    wt = tree_weights[np.lexsort((tree.max(axis=1), tree.min(axis=1)))]
     a = _parse_vector(sections, "a", f, path)
     b = _parse_vector(sections, "b", k, path)
     return SbmModel(structure, w, wt, a, b)

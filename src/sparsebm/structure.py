@@ -13,6 +13,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,12 +82,20 @@ class Skeleton(SbmStructure):
 
 @dataclass
 class CmiTable:
-    """Per hidden unit, candidate words sorted by descending score."""
+    """Per hidden unit, its out-of-group words (an int64 array) and their
+    scores (float64), by descending score and ascending word on ties."""
 
-    scores: list  # list over hidden units of [(visible index, score), ...]
+    words: list
+    values: list
 
-    def top(self, j: int, m: int):
-        return self.scores[j][:m]
+    @property
+    def scores(self) -> list:
+        """Per hidden unit, [(visible index, score), ...] in table order."""
+        return [self.top(j, None) for j in range(len(self.words))]
+
+    def top(self, j: int, m):
+        """Unit j's first m (visible index, score) pairs; all when m is None."""
+        return list(zip(self.words[j][:m].tolist(), self.values[j][:m].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -408,57 +417,153 @@ def _skeleton_owner(structure: SbmStructure) -> np.ndarray:
     return mask.argmax(axis=0)
 
 
-def _pair_joints(model: SbmModel, counts: np.ndarray, conditioners):
-    """P(h_j, h_jp | doc) for every unit j, from one sum-product pass.
+class _PairPlan(NamedTuple):
+    """The hidden forest in depth-first preorder, where every subtree and
+    every tree is one range of positions. order[i] is the unit at position
+    i and position[j] the position of unit j; the subtree at position i
+    ends at end[i], and trees lists each tree's (start, end). up lists
+    (child, parent, directed edge child -> parent) by position in reverse
+    preorder, down (parent, child, directed edge parent -> child) in
+    preorder. Directed edge d < E runs from the lower unit of canonical
+    edge d to the higher, d >= E back along edge d - E."""
 
-    Yields (jp, joint) per conditioner jp, joint of shape (F, 2, 2, B) with
-    axes (j, h_j, h_jp, doc). The posterior is Markov on the tree, so inside
-    jp's tree the joint chains the edge conditionals P(h_y | h_x) =
-    pairwise / marginal outward from jp; units in other trees are
-    independent of jp, their joint the product of the two marginals. The
-    one joint buffer is refilled for each conditioner: use it before the
-    next.
+    order: np.ndarray
+    position: np.ndarray
+    end: list
+    trees: list
+    up: list
+    down: list
+
+
+def _pair_plan(structure: SbmStructure) -> _PairPlan:
+    f, n_edges = structure.n_hidden, structure.n_tree_edges
+    children = [[] for _ in range(f)]
+    parent = [None] * f
+    for p, c, e in structure._plan.down_steps:
+        children[p].append(c)
+        parent[c] = (p, e)
+    # roots are the lowest units of their trees, ascending
+    stack = [j for j in range(f) if parent[j] is None][::-1]
+    order = []
+    while stack:
+        order.append(stack.pop())
+        stack.extend(reversed(children[order[-1]]))
+    position = np.empty(f, dtype=np.int64)
+    position[order] = np.arange(f)
+    end = list(range(1, f + 1))
+    up, down = [], []
+    for i in range(f - 1, -1, -1):
+        if parent[order[i]] is not None:
+            p, e = parent[order[i]]
+            p = int(position[p])
+            end[p] = max(end[p], end[i])
+            upward = e if structure.tree_edges[e][0] == order[i] else e + n_edges
+            up.append((i, p, upward))
+            down.append((p, i, (upward + n_edges) % (2 * n_edges)))
+    trees = [(i, end[i]) for i in range(f) if parent[order[i]] is None]
+    return _PairPlan(np.array(order, dtype=np.int64), position, end, trees, up, down[::-1])
+
+
+def _posteriors(model: SbmModel, counts, plan: _PairPlan):
+    """Marginals and edge conditionals of a chunk of count rows (CSR), from
+    one sum-product pass: on[:, i] = P(h_j = 1) for the unit j at position
+    i, shape (B, F); step[:, d] = (P(head on | tail off), P(head on | tail
+    on) - P(head on | tail off)) along directed edge d, shape (B, 2E, 2)."""
+    lengths = np.asarray(counts.sum(axis=1), dtype=np.float64).ravel()
+    theta, edge_logw = _batch_theta(model, counts, lengths)
+    singleton, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
+    # tables[:, d, h_tail, h_head]; a tail state of no mass gets conditionals 0
+    tables = np.concatenate([pairwise, pairwise.swapaxes(-1, -2)], axis=1)
+    mass = tables.sum(axis=-1)
+    step = np.divide(tables[..., 1], mass, out=np.zeros_like(mass), where=mass > 0)
+    step[..., 1] -= step[..., 0]
+    return singleton[:, plan.order], step
+
+
+def _pair_joints(plan: _PairPlan, on, step, joint) -> np.ndarray:
+    """joint[o, :, j] = P(h_o = 1, h_j = 1 | doc) for every pair of units, by
+    plan position: the (F, B, F) float64 array joint, overwritten. With the
+    marginals it gives each pair's whole 2x2 joint.
+
+    The posterior is Markov on the tree: a unit x separating o from j gives
+    P(h_o = 1, h_j = 1) = P(h_o = 1 | h_x = 0) P(h_j = 1)
+    + (P(h_o = 1 | h_x = 1) - P(h_o = 1 | h_x = 0)) P(h_x = 1, h_j = 1).
+    So one step per tree edge and direction extends the row of the edge's
+    tail to its head, over the columns j that the tail separates from the
+    head: going up, a parent's row over the child's subtree; going down, a
+    child's whole row from its parent's, after which the columns of the
+    child's own subtree are put back. A root's row outside its tree is the
+    product of the two marginals, which every step down keeps a product of
+    marginals. That is 2E vectorised steps, and one step per tree.
     """
-    structure = model.structure
-    theta, edge_logw = _batch_theta(model, counts, counts.sum(axis=1))
-    singleton, pairwise, _ = tree_sum_product(structure, theta, edge_logw)
-    # keep the document axis contiguous: the walks make ~F^2 passes over it
-    p_on = np.ascontiguousarray(singleton.T)
-    marginal = np.stack([1.0 - p_on, p_on], axis=1)  # (F, 2, B)
-    tables = np.ascontiguousarray(np.moveaxis(pairwise, 0, -1))  # (E, h_lo, h_hi, B)
-    cond = {}  # (x, y) -> P(h_y | h_x), axes (h_x, h_y, doc)
-    for e, (lo, hi) in enumerate(structure.tree_edges):
-        for x, y, tab in ((lo, hi, tables[e]), (hi, lo, tables[e].transpose(1, 0, 2))):
-            mass = tab.sum(axis=1, keepdims=True)
-            cond[x, y] = np.divide(tab, mass, out=np.zeros_like(tab), where=mass > 0)
-    eye = np.eye(2)[:, :, None]
-    joint = np.empty((structure.n_hidden, 2, 2, counts.shape[0]))
-    term = np.empty(joint.shape[1:])
-    for jp in conditioners:
-        outside = np.flatnonzero(structure.component != structure.component[jp])
-        if outside.size:
-            joint[outside] = marginal[outside, :, None, :] * marginal[jp][None, None, :, :]
-        joint[jp] = eye * marginal[jp][:, None, :]
-        walk = [(jp, -1)]
-        for x, parent in walk:
-            for y, _ in structure.neighbors(x):
-                if y != parent:
-                    c = cond[x, y]
-                    np.multiply(c[0, :, None], joint[x, 0, None], out=joint[y])
-                    np.multiply(c[1, :, None], joint[x, 1, None], out=term)
-                    joint[y] += term
-                    walk.append((y, x))
-        yield jp, joint
+    b, f = on.shape
+    units = np.arange(f)
+    joint[units, :, units] = on.T
+    for start, stop in plan.trees:
+        for cols in (slice(0, start), slice(stop, f)):
+            joint[start, :, cols] = on[:, start, None] * on[:, cols]
+    term = np.empty((b, f))
+    for child, parent, d in plan.up:
+        cols = slice(child, plan.end[child])
+        np.multiply(joint[child, :, cols], step[:, d, 1, None], out=joint[parent, :, cols])
+        joint[parent, :, cols] += np.multiply(on[:, cols], step[:, d, 0, None],
+                                              out=term[:, cols])
+    for parent, child, d in plan.down:
+        own = slice(child, plan.end[child])
+        kept = joint[child, :, own].copy()
+        np.multiply(joint[parent], step[:, d, 1, None], out=joint[child])
+        joint[child] += np.multiply(on, step[:, d, 0, None], out=term)
+        joint[child, :, own] = kept
+    return joint
 
 
-_CMI_CHUNK = 2048
+# Bytes of working memory the CMI stage holds for its documents at any one
+# time, whatever the corpus size; _chunk_rows turns it into documents.
+_CMI_BUDGET = 8 << 20
 _CMI_SCORE_BLOCK = 8  # units per _cmi call, which makes temporaries of its input's size
 
 
-def _count_chunks(corpus: Corpus):
-    """Dense count blocks of _CMI_CHUNK documents, one at a time, in order."""
-    for start in range(0, corpus.n_docs, _CMI_CHUNK):
-        yield corpus.dense_rows(slice(start, start + _CMI_CHUNK))
+def _chunk_rows(structure: SbmStructure):
+    """(chunk, slice) document counts that keep the CMI stage in budget.
+
+    A chunk's sum-product pass takes about 6F + 33E + 2K floats a document
+    (potentials, messages, edge tables and the densest counts), in a
+    quarter of the budget. A slice's pair table takes F^2 floats a
+    document, in the other three quarters. A chunk is a whole number of
+    slices.
+    """
+    f, n_edges, k = structure.n_hidden, structure.n_tree_edges, structure.n_visible
+    quarter = _CMI_BUDGET // 32
+    chunk = max(1, quarter // (6 * f + 33 * n_edges + 2 * k))
+    rows = max(1, min(chunk, 3 * quarter // (f * f)))
+    return chunk // rows * rows, rows
+
+
+def _chunk_joints(model: SbmModel, corpus: Corpus, plan: _PairPlan):
+    """(counts, on, joint) for consecutive slices of the corpus: a slice's
+    CSR count rows, marginals and pair table (_pair_joints). joint is one
+    (F, S, F) array for every slice, S the largest slice; a slice of b < S
+    documents fills joint[:, :b] only."""
+    csr = corpus.count_csr()
+    chunk, rows = _chunk_rows(model.structure)
+    f = model.n_hidden
+    joint = np.empty((f, min(rows, corpus.n_docs), f))
+    for start in range(0, corpus.n_docs, chunk):
+        counts = csr[start:start + chunk]
+        on, step = _posteriors(model, counts, plan)
+        for lo in range(0, counts.shape[0], rows):
+            part = slice(lo, lo + rows)
+            b = on[part].shape[0]
+            _pair_joints(plan, on[part], step[part], joint[:, :b])
+            yield counts[part], on[part], joint
+
+
+def _cells(both_on, first_on, second_on, count):
+    """The 2x2 table [h_first, h_second] from the mass with both units on,
+    with each unit on, and in all; the last two axes of the result."""
+    table = np.stack([count - first_on - second_on + both_on, second_on - both_on,
+                      first_on - both_on, both_on], axis=-1)
+    return table.reshape(table.shape[:-1] + (2, 2))
 
 
 def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
@@ -467,33 +572,65 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
     For each pair, the joint over (posterior of the unit, posterior of the
     word's owner, word presence) is accumulated over all documents and fed
     through the CMI formula. Posteriors come from one exact sum-product pass
-    over the tree model per chunk of documents.
+    over the tree model per chunk of documents, and every pair of units'
+    joint from O(F) vectorised steps per slice of a chunk (_pair_joints),
+    both sized to a fixed memory budget (_CMI_BUDGET). One sparse product
+    per slice adds each document's joints against the words it holds; the
+    absent half is the total joint less the present half.
     """
     structure = tree_model.structure
     owner = _skeleton_owner(structure)
     f = structure.n_hidden
     k = structure.n_visible
+    plan = _pair_plan(structure)
+    place = plan.position[owner]
 
-    # acc[j, (h_j, h_owner), absent/present, v]: posterior mass of unit j
-    # and the owner of word v against v's presence
-    acc = np.zeros((f, 4, 2, k))
-    for counts in _count_chunks(corpus):
-        for jp, joint in _pair_joints(tree_model, counts, range(f)):
-            members = structure.visible_indices(jp)
-            present = counts[:, members] > 0
-            # one product for the absent and the present columns
-            both = np.concatenate([~present, present], axis=1).astype(np.float64)
-            acc[:, :, :, members] += (joint.reshape(4 * f, -1) @ both).reshape(f, 4, 2, -1)
+    # over the documents holding word v, with o the owner of v and units at
+    # their plan positions: both[v, j] sums P(h_o = 1, h_j = 1), alone[v, j]
+    # sums P(h_j = 1); over all documents, total[o, j] sums P(h_o = 1,
+    # h_j = 1) and marginal[j] sums P(h_j = 1)
+    both, alone = np.zeros((k, f)), np.zeros((k, f))
+    total, marginal = np.zeros((f, f)), np.zeros(f)
+    for counts, on, joint in _chunk_joints(tree_model, corpus, plan):
+        b, stride = counts.shape[0], joint.shape[1]
+        docs = np.repeat(np.arange(b), np.diff(counts.indptr))
+        held, row = np.unique(counts.indices, return_inverse=True)
+        n_held = held.size
+        if 3 * n_held > 2 * k:
+            # a scattered add costs about three whole-row adds: take every word
+            held, row, n_held = slice(0, k), counts.indices, k
+        ones = np.ones(counts.nnz)
+        # row i of `pick` selects row (owner of v, doc) of the table for each
+        # document holding the i-th word held, row i of `seen` that document
+        pick = sp.csr_matrix((ones, (row, place[counts.indices] * stride + docs)),
+                             shape=(n_held, f * stride))
+        seen = sp.csr_matrix((ones, (row, docs)), shape=(n_held, b))
+        both[held] += pick @ joint.reshape(f * stride, f)
+        alone[held] += seen @ on
+        total += joint[:, :b].sum(axis=1)
+        marginal += on.sum(axis=0)
 
-    joints = acc.reshape(f, 2, 2, 2, k).transpose(0, 4, 1, 2, 3)
-    score = np.concatenate([_cmi(joints[j:j + _CMI_SCORE_BLOCK])
-                            for j in range(0, f, _CMI_SCORE_BLOCK)])
-    scores = []
+    held_by = corpus.doc_frequencies().astype(np.float64)
+    owner_on = alone[np.arange(k), place]
+    score = np.empty((f, k))
+    for lo in range(0, f, _CMI_SCORE_BLOCK):
+        units = plan.position[lo:lo + _CMI_SCORE_BLOCK]
+        # [word, unit, h_unit, h_owner], clipped where differences of sums
+        # of probabilities leave a rounding error below zero
+        present = np.maximum(_cells(both[:, units], alone[:, units], owner_on[:, None],
+                                    held_by[:, None]), 0.0)
+        whole = _cells(total[place][:, units], marginal[units][None, :],
+                       marginal[place][:, None], float(corpus.n_docs))
+        absent = np.maximum(whole - present, 0.0)
+        # axes (unit, word, h_unit, h_owner, presence)
+        score[lo:lo + units.size] = _cmi(np.stack([absent, present], axis=-1).swapaxes(0, 1))
+    words, values = [], []
     for j in range(f):
-        words = np.flatnonzero(owner != j)
-        ranked = words[np.lexsort((words, -score[j, words]))]
-        scores.append(list(zip(ranked.tolist(), score[j, ranked].tolist())))
-    return CmiTable(scores=scores)
+        candidates = np.flatnonzero(owner != j)
+        ranked = candidates[np.lexsort((candidates, -score[j, candidates]))]
+        words.append(ranked)
+        values.append(score[j, ranked])
+    return CmiTable(words, values)
 
 
 def estimate_cmi(tree_model: SbmModel, corpus: Corpus, j: int, v: int) -> float:
@@ -508,12 +645,15 @@ def estimate_cmi(tree_model: SbmModel, corpus: Corpus, j: int, v: int) -> float:
     jp = int(owner[v])
     if jp == j:
         raise ValueError(f"word {v} belongs to hidden unit {j}'s own group")
+    plan = _pair_plan(structure)
+    at, at_owner = plan.position[j], plan.position[jp]
     joint = np.zeros((2, 2, 2))
-    for counts in _count_chunks(corpus):
-        _, pair = next(_pair_joints(tree_model, counts, [jp]))
-        occ = (counts[:, v] > 0).astype(np.float64)
-        joint[:, :, 0] += pair[j] @ (1.0 - occ)
-        joint[:, :, 1] += pair[j] @ occ
+    for counts, on, table in _chunk_joints(tree_model, corpus, plan):
+        pair = np.maximum(_cells(table[at_owner, :counts.shape[0], at], on[:, at],
+                                 on[:, at_owner], 1.0), 0.0)
+        occ = (counts[:, [v]].toarray().ravel() > 0).astype(np.float64)
+        joint[:, :, 0] += np.einsum("bxy,b->xy", pair, 1.0 - occ)
+        joint[:, :, 1] += np.einsum("bxy,b->xy", pair, occ)
     return cmi_from_joint(joint)
 
 
@@ -521,9 +661,9 @@ def save_cmi_table(table: CmiTable, path) -> None:
     """TSV dump: hidden, visible, score."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("hidden\tvisible\tscore\n")
-        for j, rows in enumerate(table.scores):
-            for v, score in rows:
-                fh.write(f"{j}\t{v}\t{score!r}\n")
+        for j, (words, values) in enumerate(zip(table.words, table.values)):
+            fh.write("".join(f"{j}\t{v}\t{score!r}\n"
+                             for v, score in zip(words.tolist(), values.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -588,5 +728,5 @@ def sbm_sfc(
             )
             want = available
         edges.extend((j, int(v)) for v in g)
-        edges.extend((j, v) for v, _ in cmi_table.top(j, want))
+        edges.extend((j, int(v)) for v in cmi_table.words[j][:want])
     return SbmStructure(skeleton.n_hidden, k, edges, skeleton.tree_edges)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sparsebm import structure
 from sparsebm.corpus import Corpus, Document
 from sparsebm.errors import FileFormatError, StructureError
 from sparsebm.replicated_softmax import TrainConfig
@@ -505,6 +506,81 @@ class TestCmiPairJointOracle:
                 assert score == pytest.approx(expected, abs=1e-12)
 
 
+def random_skeleton_model(groups, tree_edges, scale, n_docs, seed):
+    """A model on the skeleton of groups and tree_edges with weights drawn at
+    the given scale, and a corpus of n_docs documents of one to four words."""
+    structure_ = Skeleton(groups=groups, tree_edges=tree_edges).to_structure()
+    f, k = structure_.n_hidden, structure_.n_visible
+    rng = np.random.default_rng(seed)
+    w = np.where(structure_.mask(), rng.normal(0, scale, (f, k)), 0.0)
+    model = SbmModel(structure_, w, rng.normal(0, scale, structure_.n_tree_edges),
+                     rng.normal(0, scale / 2, f), rng.normal(0, 0.5, k))
+    docs = []
+    for _ in range(n_docs):
+        words = np.sort(rng.choice(k, size=int(rng.integers(1, 5)), replace=False))
+        docs.append(Document(words, rng.integers(1, 4, size=words.size)))
+    return model, Corpus([f"w{i}" for i in range(k)], docs)
+
+
+def deep_forest_model_and_corpus(scale):
+    """Rooted at unit 0: the path 0-1-2-3-4 four edges deep, unit 2 with the
+    three children 3, 5 and 6, and the isolated unit 7."""
+    groups = [[0], [1], [2], [3, 4], [5], [6], [7, 8], [9]]
+    return random_skeleton_model(groups, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)],
+                                 scale, n_docs=40, seed=23)
+
+
+class TestCmiDeepForestOracle:
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_scores_match_enumeration(self, scale):
+        # pairs up to four edges apart, across the three branches of unit 2,
+        # and with the isolated unit, with saturated posteriors at the larger
+        # scale
+        model, corpus = deep_forest_model_and_corpus(scale)
+        owner = model.structure.mask().argmax(axis=0)
+        table = build_cmi_table(model, corpus)
+        for j, (words, values) in enumerate(zip(table.words, table.values)):
+            assert sorted(words.tolist()) == [v for v in range(10) if owner[v] != j]
+            for v, score in zip(words.tolist(), values.tolist()):
+                expected = enumerated_cmi(model, corpus, j, v, owner)
+                assert estimate_cmi(model, corpus, j, v) == pytest.approx(expected, abs=1e-12)
+                assert score == pytest.approx(expected, abs=1e-12)
+
+
+def budget_for_chunks(model, docs):
+    """A CMI budget whose chunks and slices hold `docs` documents each: its
+    quarter fits that many documents' sum-product pass."""
+    f, n_edges, k = model.n_hidden, model.structure.n_tree_edges, model.n_visible
+    return 32 * docs * (6 * f + 33 * n_edges + 2 * k)
+
+
+class TestCmiChunking:
+    """Chunks of one or a few documents give the table that one chunk of the
+    whole corpus gives."""
+
+    def models(self):
+        model, corpus = forest_model_and_corpus(30.0)
+        yield model, corpus
+        skeleton = Skeleton(groups=[[0, 1, 2], [3, 4, 5, 6]], tree_edges=[(0, 1)])
+        trained_corpus = TestSbmSfc().cross_pair_corpus(n_docs=400)
+        yield train_tree_model(trained_corpus, skeleton, epochs=5), trained_corpus
+
+    @pytest.mark.parametrize("docs", [1, 3])
+    def test_small_chunks_keep_every_score(self, monkeypatch, docs):
+        for model, corpus in self.models():
+            whole = build_cmi_table(model, corpus)
+            assert structure._chunk_rows(model.structure)[1] >= corpus.n_docs
+            monkeypatch.setattr(structure, "_CMI_BUDGET", budget_for_chunks(model, docs))
+            assert structure._chunk_rows(model.structure) == (docs, docs)
+            chunked = build_cmi_table(model, corpus)
+            monkeypatch.undo()
+            for j in range(model.n_hidden):
+                assert sorted(chunked.words[j].tolist()) == sorted(whole.words[j].tolist())
+                by_word = dict(zip(whole.words[j].tolist(), whole.values[j].tolist()))
+                for v, score in zip(chunked.words[j].tolist(), chunked.values[j].tolist()):
+                    assert score == pytest.approx(by_word[v], abs=1e-12)
+
+
 def train_tree_model(corpus, skeleton, seed=0, epochs=60):
     config = TrainConfig(epochs=epochs, cd_steps=2, learning_rate=0.02,
                          batch_size=50, seed=seed, weight_init_std=0.1,
@@ -688,3 +764,49 @@ class TestMemory:
         model = init_sbm_model(corpus, skeleton.to_structure(), TrainConfig())
         peak = self.peak_bytes(lambda: build_cmi_table(model, corpus))
         assert peak < self.dense_copy_bytes()
+
+
+def traced_peak(fn):
+    """Peak bytes of traced allocation while fn runs, above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestCmiMemory:
+    """The CMI stage holds a fixed budget of documents' working memory, so
+    its peak does not grow with the corpus."""
+
+    n_docs, n_words = TestMemory.n_docs, TestMemory.n_words
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return sparse_topic_corpus(self.n_docs, 3, n_words=self.n_words,
+                                   n_groups=TestMemory.n_groups, doc_len_range=(3, 12),
+                                   activation_p=0.3).corpus
+
+    def chain_model(self, corpus, f):
+        size = self.n_words // f
+        skeleton = Skeleton(groups=[range(g * size, (g + 1) * size) for g in range(f)],
+                            tree_edges=[(g, g + 1) for g in range(f - 1)])
+        return init_sbm_model(corpus, skeleton.to_structure(), TrainConfig())
+
+    def test_peak_flat_in_documents(self, corpus):
+        model = self.chain_model(corpus, 10)
+        quarter = Corpus(corpus.vocab, corpus.docs[: self.n_docs // 4])
+        small = traced_peak(lambda: build_cmi_table(model, quarter))
+        large = traced_peak(lambda: build_cmi_table(model, corpus))
+        assert abs(large - small) < structure._CMI_BUDGET
+
+    def test_peak_within_budget_at_hundred_units(self, corpus):
+        f = 100
+        model = self.chain_model(corpus, f)
+        accumulator = f * 4 * 2 * self.n_words * 8
+        # each unit's out-of-group words and scores, int64 and float64
+        table = f * (self.n_words - self.n_words // f) * 16
+        peak = traced_peak(lambda: build_cmi_table(model, corpus))
+        assert peak < structure._CMI_BUDGET + accumulator + table
