@@ -594,19 +594,15 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
     for counts, on, joint in _chunk_joints(tree_model, corpus, plan):
         b, stride = counts.shape[0], joint.shape[1]
         docs = np.repeat(np.arange(b), np.diff(counts.indptr))
-        held, row = np.unique(counts.indices, return_inverse=True)
-        n_held = held.size
-        if 3 * n_held > 2 * k:
-            # a scattered add costs about three whole-row adds: take every word
-            held, row, n_held = slice(0, k), counts.indices, k
+        words = counts.indices
         ones = np.ones(counts.nnz)
-        # row i of `pick` selects row (owner of v, doc) of the table for each
-        # document holding the i-th word held, row i of `seen` that document
-        pick = sp.csr_matrix((ones, (row, place[counts.indices] * stride + docs)),
-                             shape=(n_held, f * stride))
-        seen = sp.csr_matrix((ones, (row, docs)), shape=(n_held, b))
-        both[held] += pick @ joint.reshape(f * stride, f)
-        alone[held] += seen @ on
+        # row v of `pick` selects row (owner of v, doc) of the table for each
+        # document holding word v, row v of `seen` that document
+        pick = sp.csr_matrix((ones, (words, place[words] * stride + docs)),
+                             shape=(k, f * stride))
+        seen = sp.csr_matrix((ones, (words, docs)), shape=(k, b))
+        both += pick @ joint.reshape(f * stride, f)
+        alone += seen @ on
         total += joint[:, :b].sum(axis=1)
         marginal += on.sum(axis=0)
 
