@@ -274,20 +274,21 @@ def _prune(model_path, corpus, output, log_out, *, prune):
 
 
 def _held_out_docs(corpus, max_docs, seed):
-    """All documents, or max_docs drawn without replacement, in corpus order."""
+    """The count CSR rows of all documents, or of max_docs drawn without
+    replacement, in corpus order."""
+    csr = corpus.count_csr()
     if max_docs is None or max_docs >= corpus.n_docs:
-        return corpus.docs
+        return csr
     picker = rng_from(seed, _EVAL_STREAM, 7)
-    idx = picker.choice(corpus.n_docs, size=max_docs, replace=False)
-    return corpus.doc_rows(np.sort(idx))
+    return csr[np.sort(picker.choice(corpus.n_docs, size=max_docs, replace=False))]
 
 
 def _score(model_path, docs_prefix, *, ais_runs=100, schedule="default", exact=False,
            max_docs=None, include_multinomial=False, seed=0):
-    """(model, documents, per-document log-probabilities, per-word perplexity)
-    of a model file on held-out documents; every model's AIS draws from
-    rng_from(seed, _EVAL_STREAM). schedule is an AisSchedule; its default is
-    the text that --schedule and the config key parse."""
+    """(model, document lengths, per-document log-probabilities, per-word
+    perplexity) of a model file on held-out documents; every model's AIS
+    draws from rng_from(seed, _EVAL_STREAM). schedule is an AisSchedule; its
+    default is the text that --schedule and the config key parse."""
     model = _load_any_model(model_path)
     corpus = _load_corpus(docs_prefix)
     _check_vocab(model, model_path, corpus)
@@ -296,24 +297,22 @@ def _score(model_path, docs_prefix, *, ais_runs=100, schedule="default", exact=F
         model, docs, schedule, ais_runs, rng_from(seed, _EVAL_STREAM),
         include_multinomial, evaluation.exact_log_z if exact else None,
     )
-    return model, docs, lp, evaluation.per_word_perplexity(lp, docs)
+    lengths = np.asarray(docs.sum(axis=1)).ravel()
+    return model, lengths, lp, evaluation.per_word_perplexity(lp, lengths)
 
 
 def _eval(model_path, docs_prefix, output, **settings):
     """_score's per-document log-probabilities, written to output if given,
     and its perplexity."""
-    _, docs, lp, ppl = _score(model_path, docs_prefix, **settings)
+    _, lengths, lp, ppl = _score(model_path, docs_prefix, **settings)
     if output:
+        rows = zip(lengths.tolist(), lp.tolist(), np.exp(-lp / lengths).tolist())
         with open(output, "w", encoding="utf-8") as fh:
             fh.write("doc_id\tD\tlog_p\tper_word_ppl\n")
-            for i, (doc_lp, doc) in enumerate(zip(lp, docs)):
-                fh.write(
-                    f"{i}\t{doc.length}\t{float(doc_lp)!r}"
-                    f"\t{float(np.exp(-doc_lp / doc.length))!r}\n"
-                )
-            fh.write(f"# documents\t{len(docs)}\n")
+            fh.writelines(f"{i}\t{d}\t{p!r}\t{q!r}\n" for i, (d, p, q) in enumerate(rows))
+            fh.write(f"# documents\t{lengths.size}\n")
             fh.write(f"# perplexity\t{ppl!r}\n")
-    print(f"perplexity {ppl!r} over {len(docs)} documents")
+    print(f"perplexity {ppl!r} over {lengths.size} documents")
     return [output] if output else []
 
 

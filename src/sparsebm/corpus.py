@@ -110,22 +110,8 @@ class Corpus:
             raise StructureError("vocabulary entries must be non-empty")
         if len(set(vocab)) != len(vocab):
             raise StructureError("vocabulary entries must be unique")
-        k = len(vocab)
-        docs = list(docs)
-        for i, d in enumerate(docs):
-            if d.words.size and int(d.words[-1]) >= k:
-                raise StructureError(
-                    f"document {i} references word index {int(d.words[-1])} >= K={k}"
-                )
-        sizes = np.fromiter((d.words.size for d in docs), np.int64, len(docs))
-        indptr = np.zeros(len(docs) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        none = [np.zeros(0, dtype=np.int64)]
-        words = np.concatenate([d.words for d in docs] or none)
-        counts = np.concatenate([d.counts for d in docs] or none)
-        self.vocab = vocab
-        self.name = name
-        self._csr = sp.csr_matrix((counts, words, indptr), shape=(len(docs), k))
+        self.vocab, self.name = vocab, name
+        self._csr = docs_csr(docs, len(vocab))
 
     @classmethod
     def _from_csr(cls, vocab, csr, name) -> "Corpus":
@@ -145,17 +131,11 @@ class Corpus:
 
     @property
     def docs(self) -> list:
-        """Every document, as views made anew on each call; see doc_rows."""
-        return self.doc_rows(slice(None))
-
-    def doc_rows(self, rows) -> list:
-        """Document views of the rows selected by rows (a slice or an index
-        array), made anew on each call from a copy of those rows."""
-        part = self._csr[rows]
+        """Every document, as views of a copy of the CSR made on each call."""
         # scipy keeps column indices as int32 where they fit
-        words = part.indices.astype(np.int64)
-        bounds = part.indptr.tolist()
-        return [Document._trusted(words[a:b], part.data[a:b])
+        words, counts = self._csr.indices.astype(np.int64), self._csr.data.copy()
+        bounds = self._csr.indptr.tolist()
+        return [Document._trusted(words[a:b], counts[a:b])
                 for a, b in zip(bounds[:-1], bounds[1:])]
 
     def count_csr(self) -> sp.csr_matrix:
@@ -171,20 +151,9 @@ class Corpus:
         )
 
     def dense_rows(self, rows) -> np.ndarray:
-        """Dense float64 counts of the documents selected by rows (a slice or
-        an index array), one row each: a block of counts_matrix() made from
-        the CSR without the rest of it."""
-        csr = self.count_csr()
-        if isinstance(rows, slice):
-            rows = np.arange(*rows.indices(self.n_docs))
-        rows = np.asarray(rows, dtype=np.int64)
-        start = csr.indptr[rows]
-        size = csr.indptr[rows + 1] - start
-        # position of each selected entry in the CSR's indices and data
-        pos = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
-        out = np.zeros((rows.size, self.n_words))
-        out[np.repeat(np.arange(rows.size), size), csr.indices[pos]] = csr.data[pos]
-        return out
+        """dense_rows of the documents selected by rows: a block of
+        counts_matrix() made from the CSR without the rest of it."""
+        return dense_rows(self._csr, rows)
 
     def counts_matrix(self) -> np.ndarray:
         """Dense (n_docs, n_words) count matrix; a whole-corpus convenience,
@@ -194,8 +163,7 @@ class Corpus:
     def occurrence_matrix(self) -> np.ndarray:
         """Dense 0/1 (n_docs, n_words) word-presence matrix; a whole-corpus
         convenience like counts_matrix()."""
-        out = self.counts_matrix()
-        return (out > 0).astype(np.float64)
+        return (self.counts_matrix() > 0).astype(np.float64)
 
     def total_counts(self) -> np.ndarray:
         csr = self.count_csr()
@@ -224,10 +192,34 @@ class CorpusSplit:
     test_indices: np.ndarray = field(repr=False, default=None)
 
 
-def dense_counts(docs, n_words: int) -> np.ndarray:
-    out = np.zeros((len(docs), n_words), dtype=np.float64)
+def docs_csr(docs, n_words: int) -> sp.csr_matrix:
+    """The (len(docs), n_words) int64 count CSR of Documents, one row each in
+    order; a word index at or above n_words is refused, naming its document."""
+    docs = list(docs)
     for i, d in enumerate(docs):
-        out[i, d.words] = d.counts
+        if d.words.size and int(d.words[-1]) >= n_words:
+            raise StructureError(
+                f"document {i} references word index {int(d.words[-1])} >= K={n_words}"
+            )
+    indptr = np.cumsum([0] + [d.words.size for d in docs], dtype=np.int64)
+    none = [np.zeros(0, dtype=np.int64)]
+    words = np.concatenate([d.words for d in docs] or none)
+    counts = np.concatenate([d.counts for d in docs] or none)
+    return sp.csr_matrix((counts, words, indptr), shape=(len(docs), n_words))
+
+
+def dense_rows(csr, rows) -> np.ndarray:
+    """Dense float64 counts of the CSR rows selected by rows (a slice or an
+    index array), one row each, made without the rest of the matrix."""
+    if isinstance(rows, slice):
+        rows = np.arange(*rows.indices(csr.shape[0]))
+    rows = np.asarray(rows, dtype=np.int64)
+    start = csr.indptr[rows]
+    size = csr.indptr[rows + 1] - start
+    # position of each selected entry in the CSR's indices and data
+    pos = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+    out = np.zeros((rows.size, csr.shape[1]))
+    out[np.repeat(np.arange(rows.size), size), csr.indices[pos]] = csr.data[pos]
     return out
 
 

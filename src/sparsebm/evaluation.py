@@ -2,15 +2,17 @@
 per-word perplexity, and the embedding-based interpretability score."""
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln, logsumexp
 
-from .corpus import Document, dense_counts
-from .errors import FileFormatError
+from .corpus import Document, dense_rows, docs_csr
+from .errors import FileFormatError, StructureError
 from .sbm import _batch_theta, _chain, _gibbs_step, _multinomial_rows, tree_sum_product
 from .util import log_mean_exp
 
@@ -123,14 +125,8 @@ def _log_p_star_batch(model, counts_matrix, lengths):
 
 def log_p_star(model, doc: Document) -> float:
     """Unnormalized log probability of one document (token-sequence scale)."""
-    u = dense_counts([doc], model.n_visible)
+    u = dense_rows(docs_csr([doc], model.n_visible), slice(None))
     return float(_log_p_star_batch(model, u, u.sum(axis=1))[0])
-
-
-def log_multinomial_coeff(doc: Document) -> float:
-    """log of the number of token orderings with the document's counts."""
-    counts = doc.counts.astype(np.float64)
-    return float(gammaln(doc.length + 1) - gammaln(counts + 1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +208,7 @@ def ais_log_z(
     log_z_mean = log_z_base + [log_mean_exp(w) for w in log_w.reshape(-1, runs)]
     if several:
         return AisEstimate(log_z_mean, log_z_base, log_w, doc_lengths)
-    return AisEstimate(
-        log_z_mean=float(log_z_mean[0]),
-        log_z_base=float(log_z_base[0]),
-        per_run_log_weights=log_w,
-        doc_length=doc_length,
-    )
+    return AisEstimate(float(log_z_mean[0]), float(log_z_base[0]), log_w, doc_length)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +217,7 @@ def ais_log_z(
 # refuse enumerations above this many hidden-state x word entries (2^F K),
 # which still admits F=15 at K=1000 and F=19 at K=60
 _MAX_STATE_WORDS = 2**25
-# hidden-state x word entries held in memory at once
+# hidden-state (or held-out document) x word entries held in memory at once
 _CHUNK_WORDS = 2**20
 
 
@@ -251,9 +242,12 @@ def _hidden_marginal_chunks(model):
     for start in range(0, 2**f, step):
         index = np.arange(start, min(start + step, 2**f))
         states = ((index[:, None] >> np.arange(f)) & 1).astype(np.float64)
-        logits = model.b + states @ model.W
-        peak = logits.max(axis=1)
-        p_vis = np.exp(logits - peak[:, None])
+        # in place, so a block holds one (states, K) array
+        p_vis = states @ model.W
+        p_vis += model.b
+        peak = p_vis.max(axis=1)
+        p_vis -= peak[:, None]
+        np.exp(p_vis, out=p_vis)
         norm = p_vis.sum(axis=1)
         p_vis /= norm[:, None]
         pairs = states[:, ej] * states[:, el]
@@ -297,26 +291,45 @@ def exact_expectations(model, doc_length: int):
 
 def exact_log_prob(model, doc: Document, include_multinomial: bool = False) -> float:
     """Exact held-out log probability, for models within exact_log_z's limit."""
-    lp = log_p_star(model, doc) - exact_log_z(model, doc.length)
-    if include_multinomial:
-        lp += log_multinomial_coeff(doc)
-    return lp
+    lp, _ = held_out_log_probs(model, [doc], include_multinomial=include_multinomial,
+                               log_z_fn=exact_log_z)
+    return float(lp[0])
 
 
 # ---------------------------------------------------------------------------
 # perplexity
 
 
+def _count_rows(docs, n_words: int):
+    """(count CSR, row lengths) of held-out documents, a CSR or Documents (via
+    docs_csr); refuses no documents at all and names a row without tokens."""
+    csr = docs if sp.issparse(docs) else docs_csr(docs, n_words)
+    if csr.shape[0] == 0:
+        raise ValueError("docs must be non-empty")
+    lengths = np.asarray(csr.sum(axis=1)).ravel()
+    if lengths.min() < 1:
+        raise StructureError(f"document {np.argmax(lengths < 1)} has no tokens")
+    return csr, lengths
+
+
 def per_document_log_probs(
     model, docs, log_z_by_length, include_multinomial: bool = False
 ) -> np.ndarray:
-    """log P(doc) for each document given per-length log partition values."""
-    u = dense_counts(docs, model.n_visible)
-    lengths = u.sum(axis=1)
-    lp = _log_p_star_batch(model, u, lengths)
-    lp -= np.array([log_z_by_length[int(d)] for d in lengths])
+    """log P(doc) for each document given {length: log Z}. docs is an int64
+    count CSR, one row per document (Corpus.count_csr()), or a list of
+    Documents; dense rows are formed max(1, _CHUNK_WORDS // K) at a time."""
+    csr, lengths = _count_rows(docs, model.n_visible)
+    lp = np.empty(lengths.size)
+    step = max(1, _CHUNK_WORDS // model.n_visible)
+    for start in range(0, lp.size, step):
+        rows = slice(start, start + step)
+        lp[rows] = _log_p_star_batch(model, dense_rows(csr, rows), lengths[rows])
+    distinct = np.unique(lengths)
+    log_z = np.array([log_z_by_length[d] for d in distinct.tolist()])
+    lp -= log_z[np.searchsorted(distinct, lengths)]
     if include_multinomial:
-        lp += np.array([log_multinomial_coeff(doc) for doc in docs])
+        # log D! - sum_w log c_w!, the number of token orderings
+        lp += gammaln(lengths + 1.0) - np.add.reduceat(gammaln(csr.data + 1.0), csr.indptr[:-1])
     return lp
 
 
@@ -361,11 +374,10 @@ def held_out_log_probs(
     single group. Otherwise log Z comes from one call log_z_fn(model,
     lengths) with the array of sorted distinct lengths, returning one log Z
     per length, such as exact_log_z. Returns (log_probs, {length: log Z}).
+    docs is an int64 count CSR (Corpus.count_csr()) or a list of Documents.
     """
-    docs = list(docs)
-    if not docs:
-        raise ValueError("docs must be non-empty")
-    lengths = sorted({doc.length for doc in docs})
+    csr, row_lengths = _count_rows(docs, model.n_visible)
+    lengths = np.unique(row_lengths).tolist()
     if log_z_fn is None:
         if schedule is None:
             schedule = default_schedule()
@@ -378,14 +390,13 @@ def held_out_log_probs(
     else:
         log_z = log_z_fn(model, np.array(lengths))
         log_z_by_length = {d: float(z) for d, z in zip(lengths, log_z)}
-    lp = per_document_log_probs(model, docs, log_z_by_length, include_multinomial)
+    lp = per_document_log_probs(model, csr, log_z_by_length, include_multinomial)
     return lp, log_z_by_length
 
 
-def per_word_perplexity(log_probs, docs) -> float:
+def per_word_perplexity(log_probs, lengths) -> float:
     """exp of minus the mean over documents of log P(doc) / length."""
-    d = np.array([doc.length for doc in docs], dtype=np.float64)
-    return float(np.exp(-np.mean(np.asarray(log_probs) / d)))
+    return float(np.exp(-np.mean(np.asarray(log_probs) / np.asarray(lengths))))
 
 
 def perplexity(
@@ -403,13 +414,14 @@ def perplexity(
     overrides AIS with one call log_z_fn(model, lengths) on the array of
     sorted distinct lengths, e.g. exact_log_z. The multinomial
     token-permutation factor is off by default; with it off, the
-    zero-weight model scores exactly the vocabulary size.
+    zero-weight model scores exactly the vocabulary size. docs is an int64
+    count CSR (Corpus.count_csr()) or a list of Documents.
     """
-    docs = list(docs)
+    csr, lengths = _count_rows(docs, model.n_visible)
     lp, _ = held_out_log_probs(
-        model, docs, schedule, runs, rng, include_multinomial, log_z_fn
+        model, csr, schedule, runs, rng, include_multinomial, log_z_fn
     )
-    return per_word_perplexity(lp, docs)
+    return per_word_perplexity(lp, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +432,7 @@ class EmbeddingTable:
     """Word vectors of one fixed dimension."""
 
     def __init__(self, vectors: dict, dim: int):
-        self.vectors = vectors
-        self.dim = dim
+        self.vectors, self.dim = vectors, dim
 
     def __contains__(self, word) -> bool:
         return word in self.vectors
@@ -507,12 +518,9 @@ def interpretability_unit(
     if len(vecs) < 2:
         return 0.0
     total = 0.0
-    pairs = 0
-    for i in range(len(vecs)):
-        for k in range(i + 1, len(vecs)):
-            total += _cosine(vecs[i], vecs[k])
-            pairs += 1
-    return total / pairs
+    for u, v in itertools.combinations(vecs, 2):
+        total += _cosine(u, v)
+    return total / math.comb(len(vecs), 2)
 
 
 def interpretability_model(

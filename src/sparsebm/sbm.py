@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, Document, dense_counts, minibatch_indices
+from .corpus import Corpus, Document, dense_rows, docs_csr, minibatch_indices
 from .errors import FileFormatError, StructureError
 from .util import check_int, rng_from
 
@@ -656,7 +656,7 @@ def sbm_cd_gradients(model, batch, t, rng):
     """cd_gradients for a list of documents."""
     if t < 1:
         raise ValueError("cd_steps must be at least 1")
-    u = dense_counts(batch, model.n_visible)
+    u = dense_rows(docs_csr(batch, model.n_visible), slice(None))
     return cd_gradients(model, u, u.sum(axis=1), t, rng)
 
 

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from sparsebm.corpus import Document
-from sparsebm.errors import FileFormatError
+from sparsebm.corpus import Document, docs_csr
+from sparsebm.errors import FileFormatError, StructureError
 from sparsebm import evaluation, sbm
 from sparsebm.evaluation import (
     AisSchedule,
@@ -476,6 +478,90 @@ class TestPerplexity:
         with_coeff = perplexity(model, docs, log_z_fn=exact_log_z,
                                 include_multinomial=True)
         assert with_coeff < base
+
+
+class TestHeldOutInput:
+    """Held-out documents that cannot be scored are refused by name."""
+
+    def test_out_of_range_word_names_its_document(self):
+        docs = [Document([0], [1]), Document([3], [1])]
+        with pytest.raises(StructureError, match="document 1 references word index 3 >= K=3"):
+            perplexity(zero_rs(2, 3), docs, log_z_fn=exact_log_z)
+
+    def test_row_without_tokens_names_its_document(self):
+        # rows 0 and 2 hold a token each, row 1 none
+        csr = sp.csr_matrix((np.array([1, 2]), np.array([0, 2]), np.array([0, 1, 1, 2])),
+                            shape=(3, 3))
+        with pytest.raises(StructureError, match="document 1 has no tokens"):
+            perplexity(zero_rs(2, 3), csr, log_z_fn=exact_log_z)
+
+
+class TestHeldOutBlocks:
+    """Blocks of one or a few documents give the scores that one block of
+    every document gives."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("include_multinomial", [False, True])
+    def test_small_blocks_keep_every_score(self, monkeypatch, rows, include_multinomial):
+        rng = np.random.default_rng(34)
+        model = random_sbm_model(rng, 4, 6)
+        docs = [random_doc(rng, 6, max_len=9) for _ in range(10)]
+        lengths = sorted({doc.length for doc in docs})
+        log_z = dict(zip(lengths, exact_log_z(model, np.array(lengths))))
+        whole = evaluation.per_document_log_probs(model, docs, log_z, include_multinomial)
+        batches = []
+
+        def counting(model, counts_matrix, lengths):
+            batches.append(counts_matrix.shape[0])
+            return log_p_star_batch(model, counts_matrix, lengths)
+
+        log_p_star_batch = evaluation._log_p_star_batch
+        monkeypatch.setattr(evaluation, "_log_p_star_batch", counting)
+        monkeypatch.setattr(evaluation, "_CHUNK_WORDS", rows * model.n_visible)
+        csr = docs_csr(docs, model.n_visible)
+        for held_out in (docs, csr):
+            blocks = evaluation.per_document_log_probs(model, held_out, log_z,
+                                                       include_multinomial)
+            assert np.allclose(blocks, whole, rtol=0.0, atol=1e-12)
+        assert batches == 2 * [min(rows, 10 - start) for start in range(0, 10, rows)]
+
+
+def heldout_csr(n_docs, n_words, seed):
+    """Ten words a document, each counted 1-3 times: an offset and nine steps
+    of 97, distinct modulo any n_words above 873."""
+    rng = np.random.default_rng(seed)
+    words = (rng.integers(0, n_words, n_docs)[:, None] + 97 * np.arange(10)) % n_words
+    words.sort(axis=1)
+    counts = rng.integers(1, 4, words.shape)
+    indptr = np.arange(0, words.size + 1, 10)
+    return sp.csr_matrix((counts.ravel(), words.ravel(), indptr), shape=(n_docs, n_words))
+
+
+class TestHeldOutMemory:
+    """Scoring forms one block of dense rows at a time, so its peak does not
+    grow with the number of held-out documents beyond a few floats each."""
+
+    n_words = 1000
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_flat_in_documents(self):
+        model = random_rs_model(np.random.default_rng(35), 3, self.n_words, scale=0.1)
+        small, large = heldout_csr(2000, self.n_words, 0), heldout_csr(8000, self.n_words, 1)
+        peaks = [self.traced_peak(lambda: perplexity(model, csr, log_z_fn=exact_log_z))
+                 for csr in (small, large)]
+        block = max(1, evaluation._CHUNK_WORDS // self.n_words) * self.n_words * 8
+        # eight float64 or int64 arrays a document: lengths, scores and the
+        # length-to-log-Z lookup's work
+        per_document = 8 * 8 * large.shape[0]
+        assert abs(peaks[1] - peaks[0]) < block + per_document
 
 
 class TestEmbeddings:
