@@ -80,7 +80,7 @@ class SbmStructure:
     one visible edge; tree edges may leave the hidden graph disconnected (a
     forest) but never cyclic.
 
-    A breadth-first search from each lowest unreached unit checks the forest,
+    A depth-first walk from each lowest unreached unit checks the forest,
     labels each component by its smallest unit and records the plan.
     """
 
@@ -141,29 +141,40 @@ class SbmStructure:
 
         depth = [-1] * self.n_hidden
         self.component = np.empty(self.n_hidden, dtype=np.int64)
-        down_steps = []  # (parent, child, edge)
+        order, down_steps = [], []  # down_steps: (parent, child, edge)
         for start in range(self.n_hidden):
             if depth[start] >= 0:
                 continue
             depth[start] = 0
-            queue = [start]
-            for node in queue:
+            stack = [(start, None)]
+            while stack:
+                node, step = stack.pop()
+                order.append(node)
                 self.component[node] = start
-                for other, e in self._neighbors[node]:
+                if step is not None:
+                    down_steps.append(step)
+                # pushed in reverse, so children are taken in neighbour order
+                for other, e in reversed(self._neighbors[node]):
                     if depth[other] < 0:
                         depth[other] = depth[node] + 1
-                        down_steps.append((node, other, e))
-                        queue.append(other)
+                        stack.append((other, (node, other, e)))
         # without self loops or repeats, one down-step per edge means no cycle
         if len(down_steps) != self.n_tree_edges:
             raise StructureError("hidden graph is not a forest")
+        size = [1] * self.n_hidden
+        for p, c, _ in reversed(down_steps):
+            size[p] += size[c]
+        order = np.array(order, dtype=np.int64)
+        position = np.empty_like(order)
+        position[order] = np.arange(self.n_hidden)
+        end = np.arange(self.n_hidden) + np.array(size)[order]
         depth = np.array(depth)
         # a parent is one level above its child
         ej, el = self._edge_ends
         edge_parent, edge_child = np.where(depth[ej] < depth[el], [ej, el], [el, ej])
         colours = [units for units in (np.flatnonzero(depth % 2 == 0),
                                        np.flatnonzero(depth % 2 == 1)) if units.size]
-        self._plan = _BpPlan(down_steps, edge_parent, edge_child, colours)
+        self._plan = _BpPlan(down_steps, order, position, end, edge_parent, edge_child, colours)
 
     # -- constructors ------------------------------------------------------
 
@@ -221,12 +232,19 @@ class SbmStructure:
 
 
 class _BpPlan(NamedTuple):
-    """down_steps lists (parent, child, edge) in BFS order from one root
-    per tree; edge_parent and edge_child orient each canonical edge the
-    same way; colours holds the units of even and of odd BFS depth, each
-    ascending, and a tree edge always joins the two classes."""
+    """The hidden forest in depth-first preorder: roots ascending, each the
+    lowest unit of its tree, and children in neighbour (edge) order, so
+    every subtree and every tree is one range of positions. order[i] is the
+    unit at position i and position[j] the position of unit j; the subtree
+    at position i ends at end[i]. down_steps lists (parent, child, edge) in
+    preorder of the child; edge_parent and edge_child orient each canonical
+    edge the same way; colours holds the units of even and of odd depth,
+    each ascending, and a tree edge always joins the two classes."""
 
     down_steps: list
+    order: np.ndarray
+    position: np.ndarray
+    end: np.ndarray
     edge_parent: np.ndarray
     edge_child: np.ndarray
     colours: list
@@ -353,6 +371,7 @@ def sbm_gibbs_hidden_conditional(model: SbmModel, doc: Document, h, j: int) -> f
     """P(h_j = 1 | doc, other hidden units) for the Gibbs sweep."""
     if not 0 <= j < model.n_hidden:
         raise ValueError(f"hidden index {j} out of range")
+    _check_doc(model, doc)
     h = _check_hidden(model, h)
     d = doc.length
     act = model.W[j, doc.words] @ doc.counts.astype(np.float64) + d * model.a[j]
@@ -566,7 +585,7 @@ def _gibbs_hidden_sweep(model, theta, lengths, h, rng, beta=1.0, columns=None):
 
     theta holds the node potentials of the current visible sample, as
     _batch_theta computes them; it is read, never written. Tree edges only
-    join units of opposite BFS-depth parity, so the units of one colour are
+    join units of opposite depth parity, so the units of one colour are
     independent given the other colour, and each colour is drawn exactly in
     one vectorised step (chromatic Gibbs): even depths first, units
     ascending within a colour. A model without tree edges has a single

@@ -13,7 +13,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -417,78 +416,38 @@ def _skeleton_owner(structure: SbmStructure) -> np.ndarray:
     return mask.argmax(axis=0)
 
 
-class _PairPlan(NamedTuple):
-    """The hidden forest in depth-first preorder, where every subtree and
-    every tree is one range of positions. order[i] is the unit at position
-    i and position[j] the position of unit j; the subtree at position i
-    ends at end[i], and trees lists each tree's (start, end). up lists
-    (child, parent, directed edge child -> parent) by position in reverse
-    preorder, down (parent, child, directed edge parent -> child) in
-    preorder. Directed edge d < E runs from the lower unit of canonical
-    edge d to the higher, d >= E back along edge d - E."""
-
-    order: np.ndarray
-    position: np.ndarray
-    end: list
-    trees: list
-    up: list
-    down: list
-
-
-def _pair_plan(structure: SbmStructure) -> _PairPlan:
-    f, n_edges = structure.n_hidden, structure.n_tree_edges
-    children = [[] for _ in range(f)]
-    parent = [None] * f
-    for p, c, e in structure._plan.down_steps:
-        children[p].append(c)
-        parent[c] = (p, e)
-    # roots are the lowest units of their trees, ascending
-    stack = [j for j in range(f) if parent[j] is None][::-1]
-    order = []
-    while stack:
-        order.append(stack.pop())
-        stack.extend(reversed(children[order[-1]]))
-    position = np.empty(f, dtype=np.int64)
-    position[order] = np.arange(f)
-    end = list(range(1, f + 1))
-    up, down = [], []
-    for i in range(f - 1, -1, -1):
-        if parent[order[i]] is not None:
-            p, e = parent[order[i]]
-            p = int(position[p])
-            end[p] = max(end[p], end[i])
-            upward = e if structure.tree_edges[e][0] == order[i] else e + n_edges
-            up.append((i, p, upward))
-            down.append((p, i, (upward + n_edges) % (2 * n_edges)))
-    trees = [(i, end[i]) for i in range(f) if parent[order[i]] is None]
-    return _PairPlan(np.array(order, dtype=np.int64), position, end, trees, up, down[::-1])
-
-
-def _posteriors(model: SbmModel, counts, plan: _PairPlan):
+def _posteriors(model: SbmModel, counts):
     """Marginals and edge conditionals of a chunk of count rows (CSR), from
-    one sum-product pass: on[:, i] = P(h_j = 1) for the unit j at position
-    i, shape (B, F); step[:, d] = (P(head on | tail off), P(head on | tail
-    on) - P(head on | tail off)) along directed edge d, shape (B, 2E, 2)."""
+    one sum-product pass: on[:, i] = P(h_j = 1) for the unit j at plan
+    position i, shape (B, F); step[:, 0, e] = (P(head on | tail off),
+    P(head on | tail on) - P(head on | tail off)) down tree edge e, from
+    the plan's parent (the tail) to its child (the head), and step[:, 1, e]
+    the same back up; shape (B, 2, E, 2)."""
+    plan = model.structure._plan
     lengths = np.asarray(counts.sum(axis=1), dtype=np.float64).ravel()
     theta, edge_logw = _batch_theta(model, counts, lengths)
     singleton, pairwise, _ = tree_sum_product(model.structure, theta, edge_logw)
-    # tables[:, d, h_tail, h_head]; a tail state of no mass gets conditionals 0
-    tables = np.concatenate([pairwise, pairwise.swapaxes(-1, -2)], axis=1)
+    # tables[:, way, e, h_tail, h_head]; a tail state of no mass gets
+    # conditionals 0
+    flip = (plan.edge_parent > plan.edge_child)[:, None, None]
+    down = np.where(flip, pairwise.swapaxes(-1, -2), pairwise)
+    tables = np.stack([down, down.swapaxes(-1, -2)], axis=1)
     mass = tables.sum(axis=-1)
     step = np.divide(tables[..., 1], mass, out=np.zeros_like(mass), where=mass > 0)
     step[..., 1] -= step[..., 0]
     return singleton[:, plan.order], step
 
 
-def _pair_joints(plan: _PairPlan, on, step, joint) -> np.ndarray:
+def _pair_joints(plan, on, step, joint) -> np.ndarray:
     """joint[o, :, j] = P(h_o = 1, h_j = 1 | doc) for every pair of units, by
-    plan position: the (F, B, F) float64 array joint, overwritten. With the
-    marginals it gives each pair's whole 2x2 joint.
+    position in the structure's plan: the (F, B, F) float64 array joint,
+    overwritten. With the marginals it gives each pair's whole 2x2 joint.
 
     The posterior is Markov on the tree: a unit x separating o from j gives
     P(h_o = 1, h_j = 1) = P(h_o = 1 | h_x = 0) P(h_j = 1)
     + (P(h_o = 1 | h_x = 1) - P(h_o = 1 | h_x = 0)) P(h_x = 1, h_j = 1).
-    So one step per tree edge and direction extends the row of the edge's
+    In preorder every subtree and every tree is one range of columns. So
+    one step per tree edge and direction extends the row of the edge's
     tail to its head, over the columns j that the tail separates from the
     head: going up, a parent's row over the child's subtree; going down, a
     child's whole row from its parent's, after which the columns of the
@@ -497,22 +456,27 @@ def _pair_joints(plan: _PairPlan, on, step, joint) -> np.ndarray:
     marginals. That is 2E vectorised steps, and one step per tree.
     """
     b, f = on.shape
+    at, end = plan.position.tolist(), plan.end.tolist()
     units = np.arange(f)
     joint[units, :, units] = on.T
-    for start, stop in plan.trees:
-        for cols in (slice(0, start), slice(stop, f)):
+    start = 0
+    while start < f:  # each tree, its root first
+        for cols in (slice(0, start), slice(end[start], f)):
             joint[start, :, cols] = on[:, start, None] * on[:, cols]
+        start = end[start]
     term = np.empty((b, f))
-    for child, parent, d in plan.up:
-        cols = slice(child, plan.end[child])
-        np.multiply(joint[child, :, cols], step[:, d, 1, None], out=joint[parent, :, cols])
-        joint[parent, :, cols] += np.multiply(on[:, cols], step[:, d, 0, None],
+    for p, c, e in reversed(plan.down_steps):
+        parent, child = at[p], at[c]
+        cols = slice(child, end[child])
+        np.multiply(joint[child, :, cols], step[:, 1, e, 1, None], out=joint[parent, :, cols])
+        joint[parent, :, cols] += np.multiply(on[:, cols], step[:, 1, e, 0, None],
                                               out=term[:, cols])
-    for parent, child, d in plan.down:
-        own = slice(child, plan.end[child])
+    for p, c, e in plan.down_steps:
+        parent, child = at[p], at[c]
+        own = slice(child, end[child])
         kept = joint[child, :, own].copy()
-        np.multiply(joint[parent], step[:, d, 1, None], out=joint[child])
-        joint[child] += np.multiply(on, step[:, d, 0, None], out=term)
+        np.multiply(joint[parent], step[:, 0, e, 1, None], out=joint[child])
+        joint[child] += np.multiply(on, step[:, 0, e, 0, None], out=term)
         joint[child, :, own] = kept
     return joint
 
@@ -539,18 +503,19 @@ def _chunk_rows(structure: SbmStructure):
     return chunk // rows * rows, rows
 
 
-def _chunk_joints(model: SbmModel, corpus: Corpus, plan: _PairPlan):
+def _chunk_joints(model: SbmModel, corpus: Corpus):
     """(counts, on, joint) for consecutive slices of the corpus: a slice's
     CSR count rows, marginals and pair table (_pair_joints). joint is one
     (F, S, F) array for every slice, S the largest slice; a slice of b < S
     documents fills joint[:, :b] only."""
     csr = corpus.count_csr()
+    plan = model.structure._plan
     chunk, rows = _chunk_rows(model.structure)
     f = model.n_hidden
     joint = np.empty((f, min(rows, corpus.n_docs), f))
     for start in range(0, corpus.n_docs, chunk):
         counts = csr[start:start + chunk]
-        on, step = _posteriors(model, counts, plan)
+        on, step = _posteriors(model, counts)
         for lo in range(0, counts.shape[0], rows):
             part = slice(lo, lo + rows)
             b = on[part].shape[0]
@@ -582,7 +547,7 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
     owner = _skeleton_owner(structure)
     f = structure.n_hidden
     k = structure.n_visible
-    plan = _pair_plan(structure)
+    plan = structure._plan
     place = plan.position[owner]
 
     # over the documents holding word v, with o the owner of v and units at
@@ -591,7 +556,7 @@ def build_cmi_table(tree_model: SbmModel, corpus: Corpus) -> CmiTable:
     # h_j = 1) and marginal[j] sums P(h_j = 1)
     both, alone = np.zeros((k, f)), np.zeros((k, f))
     total, marginal = np.zeros((f, f)), np.zeros(f)
-    for counts, on, joint in _chunk_joints(tree_model, corpus, plan):
+    for counts, on, joint in _chunk_joints(tree_model, corpus):
         b, stride = counts.shape[0], joint.shape[1]
         docs = np.repeat(np.arange(b), np.diff(counts.indptr))
         words = counts.indices
@@ -641,10 +606,9 @@ def estimate_cmi(tree_model: SbmModel, corpus: Corpus, j: int, v: int) -> float:
     jp = int(owner[v])
     if jp == j:
         raise ValueError(f"word {v} belongs to hidden unit {j}'s own group")
-    plan = _pair_plan(structure)
-    at, at_owner = plan.position[j], plan.position[jp]
+    at, at_owner = structure._plan.position[j], structure._plan.position[jp]
     joint = np.zeros((2, 2, 2))
-    for counts, on, table in _chunk_joints(tree_model, corpus, plan):
+    for counts, on, table in _chunk_joints(tree_model, corpus):
         pair = np.maximum(_cells(table[at_owner, :counts.shape[0], at], on[:, at],
                                  on[:, at_owner], 1.0), 0.0)
         occ = (counts[:, [v]].toarray().ravel() > 0).astype(np.float64)

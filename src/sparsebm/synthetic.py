@@ -43,7 +43,8 @@ def split_groups(n_words: int, n_groups: int):
 def _word_groups(n_words, n_groups, doc_len_range, planted):
     """The set-up both generators share: check the settings, then
     (groups, word_group, planted) with planted as (group, word) int pairs,
-    none of which names a word of its own group."""
+    each group in [0, n_groups) and each word in [0, n_words) outside that
+    group."""
     if n_groups < 1 or n_words < n_groups:
         raise ValueError("need at least one word per group")
     lo, hi = doc_len_range
@@ -55,8 +56,12 @@ def _word_groups(n_words, n_groups, doc_len_range, planted):
         word_group[members] = g
     planted = [(int(g), int(w)) for g, w in planted or []]
     for g, w in planted:
+        if not 0 <= g < n_groups:
+            raise ValueError(f"planted pair ({g}, {w}): group {g} is outside [0, {n_groups})")
+        if not 0 <= w < n_words:
+            raise ValueError(f"planted pair ({g}, {w}): word {w} is outside [0, {n_words})")
         if word_group[w] == g:
-            raise ValueError(f"planted word {w} already belongs to group {g}")
+            raise ValueError(f"planted pair ({g}, {w}): word {w} already belongs to group {g}")
     return groups, word_group, planted
 
 
@@ -208,6 +213,12 @@ def boltzmann_corpus(
     return _synthetic(docs, groups, word_group, planted, name), truth
 
 
+def planted_pair(spec: str):
+    """The --plant type: "source_group:target_word" as an int pair."""
+    g, w = spec.split(":")
+    return int(g), int(w)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="write a synthetic sparse-topic corpus as UCI docword/vocab files"
@@ -218,18 +229,18 @@ def main(argv=None) -> int:
     parser.add_argument("--groups", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--plant", action="append", default=[],
-        help="source_group:target_word planted correlation, repeatable",
+        "--plant", action="append", default=[], type=planted_pair,
+        help="source_group:target_word planted correlation, repeatable; the group"
+             " must be in [0, groups) and the word in [0, words), outside that group",
     )
     args = parser.parse_args(argv)
-    planted = []
-    for spec in args.plant:
-        g, w = spec.split(":")
-        planted.append((int(g), int(w)))
-    made = sparse_topic_corpus(
-        args.docs, args.seed, n_words=args.words, n_groups=args.groups,
-        planted=planted,
-    )
+    try:
+        made = sparse_topic_corpus(
+            args.docs, args.seed, n_words=args.words, n_groups=args.groups,
+            planted=args.plant,
+        )
+    except ValueError as err:
+        parser.error(str(err))
     save_uci_bow(made.corpus, f"{args.prefix}.docword.txt", f"{args.prefix}.vocab.txt")
     print(f"wrote {made.corpus.n_docs} docs over {made.corpus.n_words} words")
     return 0

@@ -125,9 +125,10 @@ class TestStructure:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_traversal_against_component_oracle(self, data):
-        """The one breadth-first pass against scipy's components and
-        distances: a graph without self loops or repeated edges is a forest
-        exactly when E = F - C."""
+        """The one depth-first pass against scipy's components, distances
+        and reachability: a graph without self loops or repeated edges is a
+        forest exactly when E = F - C, and the preorder puts each subtree in
+        one range of positions after its root."""
         f = data.draw(st.integers(1, 8))
         raw = data.draw(st.lists(st.tuples(st.integers(0, f - 1), st.integers(0, f - 1)),
                                  max_size=12))
@@ -154,6 +155,18 @@ class TestStructure:
             assert (min(p, c), max(p, c)) == s.tree_edges[e]
             assert level[c] == level[p] + 1
             assert (plan.edge_parent[e], plan.edge_child[e]) == (p, c)
+        assert sorted(plan.order.tolist()) == list(range(f))
+        assert plan.position[plan.order].tolist() == list(range(f))
+        assert [c for _, c, _ in plan.down_steps] == [
+            j for j in plan.order.tolist() if s.component[j] != j]
+        for p, c, _ in plan.down_steps:
+            assert plan.position[p] < plan.position[c]
+        # the edges pointed from parent to child reach exactly the subtree
+        down = sp.csr_matrix((np.ones(len(tree)), (plan.edge_parent, plan.edge_child)),
+                             shape=(f, f))
+        reach = np.isfinite(shortest_path(down, directed=True, unweighted=True))
+        for i, j in enumerate(plan.order.tolist()):
+            assert sorted(plan.order[i:plan.end[i]].tolist()) == np.flatnonzero(reach[j]).tolist()
         colour = np.full(f, -1)
         for c, units in enumerate(plan.colours):
             assert units.tolist() == sorted(set(units.tolist()))
@@ -248,6 +261,16 @@ class TestGibbsConditional:
         p0 = sbm_gibbs_hidden_conditional(model, doc, [0, 0], 0)
         p1 = sbm_gibbs_hidden_conditional(model, doc, [0, 1], 0)
         assert p0 == p1
+
+    def test_out_of_range_word_refused_like_its_siblings(self):
+        model = zero_sbm(2, 3)
+        doc = Document([5], [1])
+        message = "document references word index 5 >= K=3"
+        for call in (lambda: sbm_gibbs_hidden_conditional(model, doc, [0, 0], 0),
+                     lambda: sbm_energy(model, doc, [0, 0]),
+                     lambda: sbm_tree_marginals(model, doc)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestTreeMarginals:

@@ -547,6 +547,41 @@ class TestCmiDeepForestOracle:
                 assert score == pytest.approx(expected, abs=1e-12)
 
 
+def relabelled(model, perm):
+    """The model with hidden unit j renamed perm[j], its groups, tree edges
+    and weights carried along."""
+    groups = [None] * model.n_hidden
+    for j, g in enumerate(model.structure.groups):
+        groups[perm[j]] = g
+    tree = {(min(perm[j], perm[l]), max(perm[j], perm[l])): w
+            for (j, l), w in zip(model.structure.tree_edges, model.Wt)}
+    skeleton = Skeleton(groups=groups, tree_edges=list(tree))
+    w, a = np.empty_like(model.W), np.empty_like(model.a)
+    w[perm], a[perm] = model.W, model.a
+    wt = [tree[edge] for edge in skeleton.tree_edges]
+    return SbmModel(skeleton.to_structure(), w, wt, a, model.b)
+
+
+class TestCmiRelabelling:
+    """Renaming the hidden units changes the forest's preorder, not the
+    scores: a mix-up of units and plan positions moves them."""
+
+    @pytest.mark.parametrize("perm", [[7, 6, 5, 4, 3, 2, 1, 0], [5, 3, 0, 7, 1, 6, 2, 4]])
+    def test_scores_follow_the_units(self, perm):
+        model, corpus = forest_model_and_corpus(1.0)
+        renamed = relabelled(model, perm)
+        assert renamed.structure._plan.order.tolist() != list(range(8))
+        table, renamed_table = build_cmi_table(model, corpus), build_cmi_table(renamed, corpus)
+        for j in range(model.n_hidden):
+            words, values = renamed_table.words[perm[j]], renamed_table.values[perm[j]]
+            assert sorted(words.tolist()) == sorted(table.words[j].tolist())
+            by_word = dict(zip(table.words[j].tolist(), table.values[j].tolist()))
+            for v, score in zip(words.tolist(), values.tolist()):
+                assert score == pytest.approx(by_word[v], abs=1e-12)
+                assert estimate_cmi(renamed, corpus, perm[j], v) == pytest.approx(
+                    by_word[v], abs=1e-12)
+
+
 def budget_for_chunks(model, docs):
     """A CMI budget whose chunks and slices hold `docs` documents each: its
     quarter fits that many documents' sum-product pass."""
