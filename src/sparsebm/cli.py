@@ -65,9 +65,7 @@ def _load_corpus(prefix):
 def _load_any_model(path):
     """An rs-model file by its reader, a pruned one on its mask's structure;
     any other file by the sbm-model reader, which names a wrong kind."""
-    with open(path, encoding="utf-8") as fh:
-        kind = fh.readline().split()[1:2]
-    if kind == ["rs-model"]:
+    if sbm_mod.file_kind(path) == "rs-model":
         return rs_mod.load_rs_model(path)
     return sbm_mod.load_sbm_model(path)
 
@@ -83,11 +81,9 @@ def _check_vocab(model, model_path, corpus):
 
 def _load_any_structure(path, n_visible):
     """Accepts sbm-structure files and skeleton text files over n_visible words."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().split()
-    if first[:1] == ["sparsebm"]:
-        return sbm_mod.load_structure(path)
-    return structure_mod.load_skeleton(path, n_visible)
+    if sbm_mod.file_kind(path) is None:
+        return structure_mod.load_skeleton(path, n_visible)
+    return sbm_mod.load_structure(path)
 
 
 def _parse_schedule(spec):

@@ -18,8 +18,9 @@ from .sbm import (  # noqa: F401  (TrainConfig is re-exported)
     SbmStructure,
     TrainConfig,
     _check_hidden,
-    _fmt,
+    _first_faulty_pair,
     _parse_dims,
+    _parse_edges,
     _parse_vector,
     init_sbm_model,
     read_sections,
@@ -130,12 +131,12 @@ def save_rs_model(model, path) -> None:
                          " the model's structure")
     sections = [
         ("dims", [f"F {model.n_hidden}", f"K {model.n_visible}"]),
-        ("W", [" ".join(_fmt(x) for x in row) for row in model.W]),
-        ("a", [" ".join(_fmt(x) for x in model.a)]),
-        ("b", [" ".join(_fmt(x) for x in model.b)]),
+        ("W", [" ".join(map(repr, row.tolist())) for row in model.W]),
+        ("a", [" ".join(map(repr, model.a.tolist()))]),
+        ("b", [" ".join(map(repr, model.b.tolist()))]),
     ]
     if not mask.all():
-        sections.append(("mask", [f"{j} {k}" for j, k in np.argwhere(mask)]))
+        sections.append(("mask", [f"{j} {k}" for j, k in np.argwhere(mask).tolist()]))
     write_sections(path, "rs-model", sections)
 
 
@@ -150,27 +151,22 @@ def load_rs_model(path):
     b = _parse_vector(sections, "b", k, path)
     if "mask" not in sections:
         return RsModel(w, a, b)
-    mask = np.zeros((f, k), dtype=bool)
-    for line in sections["mask"]:
-        try:
-            j, v = (int(tok) for tok in line.split())
-        except ValueError:
-            raise FileFormatError(f"{path}: malformed mask entry {line!r}") from None
-        if not (0 <= j < f and 0 <= v < k):
-            raise FileFormatError(
-                f"{path}: mask entry {line!r} out of range for F={f}, K={k}"
-            )
-        if mask[j, v]:
-            raise FileFormatError(f"{path}: duplicate mask entry {line!r}")
-        mask[j, v] = True
-    off = np.argwhere((w != 0.0) & ~mask)
+    pairs, _ = _parse_edges(sections, "mask", "mask entry", path, weighted=False)
+    try:
+        structure = SbmStructure(f, k, pairs, [])
+    except StructureError as exc:
+        faulty = _first_faulty_pair(pairs, f, k)
+        if faulty is None:
+            raise FileFormatError(f"{path}: [mask] {exc}") from None
+        j, v = pairs[faulty]
+        row = repr([text for text in sections["mask"].split("\n") if text.strip()][faulty])
+        if 0 <= j < f and 0 <= v < k:
+            raise FileFormatError(f"{path}: duplicate mask entry {row}") from None
+        raise FileFormatError(f"{path}: mask entry {row} out of range for F={f}, K={k}") from None
+    off = np.argwhere((w != 0.0) & ~structure.mask())
     if off.size:
         j, v = off[0]
         raise FileFormatError(
             f"{path}: weight W[{j}, {v}] = {float(w[j, v])!r} lies outside the mask"
         )
-    try:
-        structure = SbmStructure.from_mask(mask, [])
-    except StructureError as exc:
-        raise FileFormatError(f"{path}: [mask] {exc}") from None
     return SbmModel(structure, w, (), a, b)

@@ -13,6 +13,7 @@ set and no tree. Both run through the code here.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,6 +72,19 @@ class TrainConfig:
             raise ValueError(f"hidden_bias_lr_scale must be finite and positive, got {scale!r}")
 
 
+def _first_faulty_pair(pairs, n_rows: int, n_cols: int):
+    """The index of the first (row, col) pair of an (n, 2) int array that lies
+    outside n_rows x n_cols or repeats an earlier pair; None if there is none."""
+    rows, cols = pairs.T
+    in_range = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
+    # an out-of-range pair gets a key of its own, so it repeats nothing
+    keys = np.where(in_range, rows * n_cols + cols, -1 - np.arange(rows.size))
+    repeat = np.ones(rows.size, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    faulty = np.flatnonzero(~in_range | repeat)
+    return int(faulty[0]) if faulty.size else None
+
+
 class SbmStructure:
     """Connectivity of a sparse Boltzmann machine.
 
@@ -94,23 +108,16 @@ class SbmStructure:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("visible_edges must be (hidden, visible) pairs")
-        rows, cols = edges.T
-        in_range = (rows >= 0) & (rows < n_hidden) & (cols >= 0) & (cols < n_visible)
-        # an out-of-range edge gets a key of its own, so it repeats nothing
-        keys = np.where(in_range, rows * n_visible + cols, -1 - np.arange(rows.size))
-        repeat = np.ones(rows.size, dtype=bool)
-        repeat[np.unique(keys, return_index=True)[1]] = False
-        faulty = np.flatnonzero(~in_range | repeat)
-        if faulty.size:
-            # the first faulty edge in input order, by the checks' order
-            j, k = (int(x) for x in edges[faulty[0]])
+        faulty = _first_faulty_pair(edges, n_hidden, n_visible)
+        if faulty is not None:
+            j, k = (int(x) for x in edges[faulty])
             if not 0 <= j < n_hidden:
                 raise StructureError(f"hidden index {j} out of range")
             if not 0 <= k < n_visible:
                 raise StructureError(f"visible index {k} out of range")
             raise StructureError(f"duplicate visible edge ({j}, {k})")
         mask = np.zeros((int(n_hidden), int(n_visible)), dtype=bool)
-        mask[rows, cols] = True
+        mask[edges[:, 0], edges[:, 1]] = True
         self._setup(mask, tree_edges)
 
     def _setup(self, mask, tree_edges):
@@ -773,10 +780,30 @@ def sbm_train(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> S
 # serialization: versioned plain-text sections, bit-exact float round trip
 
 _MAGIC = "sparsebm"
+# the sections each kind of file may hold; any other is refused
+_SECTIONS = {"sbm-structure": ("dims", "visible_edges", "tree_edges"),
+             "rs-model": ("dims", "W", "a", "b", "mask")}
+_SECTIONS["sbm-model"] = _SECTIONS["sbm-structure"] + ("a", "b")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def read_text(path, first_line: bool = False) -> str:
+    """A file's text, or only its first line; refused, naming it, if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readline() if first_line else fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _header(line: str):
+    """[kind, version] of a "sparsebm <kind> <version>" line, else [None, None]."""
+    words = line.split()
+    return words[1:] if len(words) == 3 and words[0] == _MAGIC else [None, None]
+
+
+def file_kind(path):
+    """The kind a sparsebm file's first line names, or None for any other file."""
+    return _header(read_text(path, first_line=True))[0]
 
 
 def write_sections(path, kind: str, sections) -> None:
@@ -785,53 +812,73 @@ def write_sections(path, kind: str, sections) -> None:
         fh.write(f"{_MAGIC} {kind} 1\n")
         for name, lines in sections:
             fh.write(f"[{name}]\n")
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(f"{line}\n" for line in lines)
 
 
 def read_sections(path, expected_kind: str):
-    """Parse a sectioned file; returns {section_name: [lines]}."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != _MAGIC:
-            raise FileFormatError(f"{path}: not a {_MAGIC} file")
-        kind, version = header[1], header[2]
-        if kind != expected_kind:
-            raise FileFormatError(
-                f"{path}: expected kind {expected_kind!r}, found {kind!r}"
-            )
-        if version != "1":
-            raise FileFormatError(f"{path}: unsupported format version {version}")
-        sections: dict[str, list[str]] = {}
-        current = None
-        for ln, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current in sections:
-                    raise FileFormatError(
-                        f"{path}: duplicate section {current!r} at line {ln}"
-                    )
-                sections[current] = []
-            elif current is None:
-                raise FileFormatError(f"{path}: content before any section at line {ln}")
-            else:
-                sections[current].append(line)
+    """{section_name: text} of a "sparsebm <expected_kind> 1" file. A section
+    the kind does not hold is refused; blank lines are left to the section
+    parsers, which skip them."""
+    # a literal "\n[" starts the pattern, so the search skips ahead between sections
+    pre, *parts = re.split(r"\n\[(.*)\]$", read_text(path), flags=re.MULTILINE)
+    first, _, before = pre.partition("\n")
+    kind, version = _header(first)
+    if kind is None:
+        raise FileFormatError(f"{path}: not a {_MAGIC} file")
+    if kind != expected_kind:
+        raise FileFormatError(f"{path}: expected kind {expected_kind!r}, found {kind!r}")
+    if version != "1":
+        raise FileFormatError(f"{path}: unsupported format version {version}")
+    if before.strip():
+        ln = 2 + before[: len(before) - len(before.lstrip())].count("\n")
+        raise FileFormatError(f"{path}: content before any section at line {ln}")
+    sections: dict[str, str] = {}
+    ln = 2 + pre.count("\n")  # the line of each section's [name]
+    for name, part in zip(parts[::2], parts[1::2]):
+        if name in sections or name not in _SECTIONS[kind]:
+            problem = "duplicate" if name in sections else "unknown"
+            raise FileFormatError(f"{path}: {problem} section [{name}] at line {ln}")
+        sections[name] = part
+        ln += part.count("\n") + 1
     return sections
 
 
+def _parse_section(sections, name, dtype, noun, path):
+    """The columns of one np.loadtxt call: a row per line of (field, type) pairs
+    or, for a vector, a row per value, so its line breaks do not matter and no
+    long row is copied at 4 bytes a character. Floats must be finite; a missing
+    section is empty. A failed section is walked to name its first bad line."""
+    lines = sections.get(name, "").split("\n")
+    rows = lines if isinstance(dtype, list) else (tok for line in lines for tok in line.split())
+
+    def columns(part):
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads "3.0" as an integer with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            # a section with no rows is no error here
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(part, dtype=dtype, comments=None, ndmin=1)
+        cols = [table[n] for n in table.dtype.names] if table.dtype.names else [table]
+        # nan, inf and a float that overflows are refused
+        if not all(np.isfinite(c).all() for c in cols if c.dtype.kind == "f"):
+            raise ValueError
+        return cols
+
+    try:
+        return columns(rows)
+    except (ValueError, OverflowError, DeprecationWarning):
+        for line in lines:
+            try:
+                columns([line])
+            except (ValueError, OverflowError, DeprecationWarning):
+                raise FileFormatError(f"{path}: {noun} {line!r}") from None
+        raise
+
+
 def _parse_dims(sections, path, *names):
-    if "dims" not in sections:
-        raise FileFormatError(f"{path}: missing [dims] section")
-    dims = {}
-    for line in sections["dims"]:
-        try:
-            name, value = line.split()
-            dims[name] = int(value)
-        except ValueError:
-            raise FileFormatError(f"{path}: malformed dims line {line!r}") from None
+    dtype = [("name", object), ("value", np.int64)]
+    keys, values = _parse_section(sections, "dims", dtype, "malformed dims line", path)
+    dims = dict(zip(keys.tolist(), values.tolist()))
     for name in names:
         if name not in dims:
             raise FileFormatError(f"{path}: [dims] missing {name}")
@@ -840,58 +887,21 @@ def _parse_dims(sections, path, *names):
     return tuple(dims[n] for n in names)
 
 
-def _finite(token: str) -> float:
-    """The float a token spells; ValueError for nan, inf or overflow."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(token)
-    return value
-
-
 def _parse_vector(sections, name, size, path):
-    if name not in sections:
-        raise FileFormatError(f"{path}: missing [{name}] section")
-    values = []
-    for line in sections[name]:
-        try:
-            values.extend(_finite(tok) for tok in line.split())
-        except ValueError:
-            raise FileFormatError(f"{path}: bad number in [{name}] line {line!r}") from None
-    if len(values) != size:
+    (values,) = _parse_section(sections, name, np.float64, f"bad number in [{name}] line", path)
+    if values.size != size:
         raise FileFormatError(
-            f"{path}: [{name}] holds {len(values)} values, expected {size}"
+            f"{path}: [{name}] holds {values.size} values, expected {size}"
         )
-    return np.array(values, dtype=np.float64)
+    return values
 
 
-def _parse_edges(sections, name, path, weighted):
-    """The (n, 2) int64 (j, l) pairs of an edge section and, when weighted,
-    the float64 weight that ends each line, with every weight finite. The
-    section converts in one numpy step; only a section that fails is read
-    again line by line, to name its first malformed line."""
-    lines = sections.get(name, [])
-    columns = [("j", np.int64), ("l", np.int64)] + [("w", np.float64)] * weighted
-    try:
-        with warnings.catch_warnings():
-            # numpy before 2.0 reads "3.0" as an integer with a DeprecationWarning
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(lines, dtype=columns, comments=None, ndmin=1) if lines else None
-    except (ValueError, OverflowError, DeprecationWarning):
-        table = None
-    if table is not None and (not weighted or np.isfinite(table["w"]).all()):
-        return np.stack([table["j"], table["l"]], axis=1), table["w"] if weighted else np.zeros(0)
-    edges, weights = [], []
-    for line in lines:
-        try:
-            j, l, *weight = line.split()
-            if len(weight) != int(weighted):
-                raise ValueError
-            edges.append((int(j), int(l)))
-            weights.extend(_finite(x) for x in weight)
-        except ValueError:
-            kind = name.split("_")[0]
-            raise FileFormatError(f"{path}: malformed {kind} edge {line!r}") from None
-    return np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(weights, dtype=np.float64)
+def _parse_edges(sections, name, noun, path, weighted):
+    """The (n, 2) int64 pairs of an edge section and, when weighted, the
+    float64 weight that ends each line."""
+    dtype = [("j", np.int64), ("l", np.int64)] + [("w", np.float64)] * weighted
+    j, l, *weights = _parse_section(sections, name, dtype, f"malformed {noun}", path)
+    return np.stack([j, l], axis=1), (weights[0] if weighted else None)
 
 
 def save_structure(structure: SbmStructure, path) -> None:
@@ -912,8 +922,8 @@ def save_structure(structure: SbmStructure, path) -> None:
 def load_structure(path) -> SbmStructure:
     sections = read_sections(path, "sbm-structure")
     f, k = _parse_dims(sections, path, "F", "K")
-    visible, _ = _parse_edges(sections, "visible_edges", path, weighted=False)
-    tree, _ = _parse_edges(sections, "tree_edges", path, weighted=False)
+    visible, _ = _parse_edges(sections, "visible_edges", "visible edge", path, weighted=False)
+    tree, _ = _parse_edges(sections, "tree_edges", "tree edge", path, weighted=False)
     return SbmStructure(f, k, visible, tree)
 
 
@@ -924,19 +934,16 @@ def save_sbm_model(model: SbmModel, path) -> None:
         (
             "visible_edges",
             [
-                f"{j} {k} {_fmt(model.W[j, k])}"
-                for j, k in np.argwhere(s.mask()).tolist()
+                f"{j} {k} {w!r}"
+                for (j, k), w in zip(np.argwhere(s.mask()).tolist(), model.W[s.mask()].tolist())
             ],
         ),
         (
             "tree_edges",
-            [
-                f"{j} {l} {_fmt(model.Wt[e])}"
-                for e, (j, l) in enumerate(s.tree_edges)
-            ],
+            [f"{j} {l} {w!r}" for (j, l), w in zip(s.tree_edges, model.Wt.tolist())],
         ),
-        ("a", [" ".join(_fmt(x) for x in model.a)]),
-        ("b", [" ".join(_fmt(x) for x in model.b)]),
+        ("a", [" ".join(map(repr, model.a.tolist()))]),
+        ("b", [" ".join(map(repr, model.b.tolist()))]),
     ]
     write_sections(path, "sbm-model", sections)
 
@@ -944,8 +951,9 @@ def save_sbm_model(model: SbmModel, path) -> None:
 def load_sbm_model(path) -> SbmModel:
     sections = read_sections(path, "sbm-model")
     f, k = _parse_dims(sections, path, "F", "K")
-    visible, weights = _parse_edges(sections, "visible_edges", path, weighted=True)
-    tree, tree_weights = _parse_edges(sections, "tree_edges", path, weighted=True)
+    visible, weights = _parse_edges(sections, "visible_edges", "visible edge", path,
+                                    weighted=True)
+    tree, tree_weights = _parse_edges(sections, "tree_edges", "tree edge", path, weighted=True)
     structure = SbmStructure(f, k, visible, tree)
     w = np.zeros((f, k))
     w[visible[:, 0], visible[:, 1]] = weights

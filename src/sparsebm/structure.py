@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .corpus import Corpus
 from .errors import FileFormatError, StructureError
-from .sbm import SbmModel, SbmStructure, _batch_theta, tree_sum_product
+from .sbm import SbmModel, SbmStructure, _batch_theta, read_text, tree_sum_product
 from .util import check_int
 
 # 99% quantile of chi-squared with one degree of freedom; 2*N*MI of two
@@ -322,38 +322,37 @@ def load_skeleton(path, n_visible: int) -> Skeleton:
     group_lines = {}
     tree = []
     in_tree = False
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line == "[tree]":
-                in_tree = True
-                continue
-            if in_tree:
-                try:
-                    j, l = map(int, line.split())
-                except ValueError:
-                    raise FileFormatError(
-                        f"{path}: malformed tree edge at line {ln}"
-                    ) from None
-                tree.append((j, l))
-            else:
-                if ":" not in line:
-                    raise FileFormatError(
-                        f"{path}: expected 'j: v v ...' at line {ln}"
-                    )
-                head, _, rest = line.partition(":")
-                try:
-                    j = int(head)
-                    members = [int(tok) for tok in rest.split()]
-                except ValueError:
-                    raise FileFormatError(
-                        f"{path}: unparseable group line at line {ln}"
-                    ) from None
-                if j in group_lines:
-                    raise FileFormatError(f"{path}: duplicate group {j} at line {ln}")
-                group_lines[j] = members
+    for ln, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "[tree]":
+            in_tree = True
+            continue
+        if in_tree:
+            try:
+                j, l = map(int, line.split())
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}: malformed tree edge at line {ln}"
+                ) from None
+            tree.append((j, l))
+        else:
+            if ":" not in line:
+                raise FileFormatError(
+                    f"{path}: expected 'j: v v ...' at line {ln}"
+                )
+            head, _, rest = line.partition(":")
+            try:
+                j = int(head)
+                members = [int(tok) for tok in rest.split()]
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}: unparseable group line at line {ln}"
+                ) from None
+            if j in group_lines:
+                raise FileFormatError(f"{path}: duplicate group {j} at line {ln}")
+            group_lines[j] = members
     if not group_lines:
         raise FileFormatError(f"{path}: no groups found")
     n_hidden = max(group_lines) + 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, Document, save_uci_bow
-from .util import rng_from
+from .util import check_int, rng_from
 
 _GEN_STREAM = 51
 
@@ -40,11 +40,12 @@ def split_groups(n_words: int, n_groups: int):
     return groups
 
 
-def _word_groups(n_words, n_groups, doc_len_range, planted):
+def _word_groups(n_docs, n_words, n_groups, doc_len_range, planted):
     """The set-up both generators share: check the settings, then
     (groups, word_group, planted) with planted as (group, word) int pairs,
     each group in [0, n_groups) and each word in [0, n_words) outside that
     group."""
+    check_int("n_docs", n_docs, 0)
     if n_groups < 1 or n_words < n_groups:
         raise ValueError("need at least one word per group")
     lo, hi = doc_len_range
@@ -95,7 +96,7 @@ def sparse_topic_corpus(
     document with probability planted_rate, creating a cross-group
     dependence that the word's own group cannot explain.
     """
-    groups, word_group, planted = _word_groups(n_words, n_groups, doc_len_range, planted)
+    groups, word_group, planted = _word_groups(n_docs, n_words, n_groups, doc_len_range, planted)
     lo, hi = doc_len_range
     rng = rng_from(seed, _GEN_STREAM)
 
@@ -156,7 +157,7 @@ def boltzmann_corpus(
     from .evaluation import _hidden_marginal_chunks
     from .sbm import SbmModel, SbmStructure
 
-    groups, word_group, planted = _word_groups(n_words, n_groups, doc_len_range, planted)
+    groups, word_group, planted = _word_groups(n_docs, n_words, n_groups, doc_len_range, planted)
     lo, hi = doc_len_range
     rng = rng_from(seed, _GEN_STREAM, 2)
 

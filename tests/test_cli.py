@@ -187,6 +187,20 @@ class TestVocabularyMismatch:
         assert "K=6" in err and f"K={k}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train-sbm"])
+    def test_file_that_is_not_utf8_is_data_error_naming_it(self, files, command, capsys):
+        bad = files / "bad.bin"
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n")
+        out = files / f"out-utf8-{command}"
+        argv = {
+            "eval": ["eval", "--model", bad, "--docs", files / "k4", "-o", out],
+            "train-sbm": ["train-sbm", "--corpus", files / "k4", "--structure", bad,
+                          "-o", out],
+        }[command]
+        assert run(argv) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_prune_refuses_an_sbm_model_naming_the_file(self, files, capsys):
         out = files / "out-prune-sbm"
         assert run(["prune", "--corpus", files / "k4", "--model", files / "k6.sbm",

@@ -215,6 +215,13 @@ class TestPrunedInputValidation:
         with pytest.raises(FileFormatError, match=r"m\.rs.*duplicate mask entry '0 0'"):
             load_rs_model(path)
 
+    @pytest.mark.parametrize("entry", ["0 x", "0 1_0", "0", "0 1 1", "0 1.0"])
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        path = self.write(tmp_path / "m.rs", ["0 0", entry])
+        with pytest.raises(FileFormatError) as exc:
+            load_pruned_rs(path)
+        assert str(exc.value) == f"{path}: malformed mask entry {entry!r}"
+
     def test_weight_outside_mask_rejected(self, tmp_path):
         path = self.write(tmp_path / "m.rs", ["0 0", "1 0"])
         with pytest.raises(FileFormatError, match=r"m\.rs.*W\[1, 1\].*outside the mask"):

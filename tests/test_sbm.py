@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +16,7 @@ from sparsebm.evaluation import exact_expectations, exact_log_prob
 from sparsebm.replicated_softmax import (
     TrainConfig,
     _softmax_rows,
+    load_rs_model,
     rs_energy,
     rs_hidden_conditional,
 )
@@ -38,6 +42,7 @@ from sparsebm.sbm import (
     save_structure,
     tree_sum_product,
 )
+from sparsebm.structure import load_skeleton
 from sparsebm.util import rng_from
 
 from conftest import (
@@ -47,6 +52,15 @@ from conftest import (
     random_sbm_model,
     random_structure,
 )
+
+DATA = Path(__file__).parent / "data"
+# a reader for each kind of file in tests/data, and the skeleton reader
+LOADERS = {
+    "model.struct": load_structure,
+    "model.sbm": load_sbm_model,
+    "masked.rs": load_rs_model,
+    "skeleton.txt": lambda path: load_skeleton(path, 5),
+}
 
 
 def chain_structure(f, k, wt=0.0):
@@ -808,6 +822,8 @@ class TestModelSerialization:
         ("tree_edges", "0 1 zz"), ("tree_edges", "0"), ("a", "0.1 zz 0.3"),
         ("visible_edges", "0 1 nan"), ("tree_edges", "0 1 inf"),
         ("a", "0.1 1e400 0.3"), ("b", "nan 0 0 0 0"), ("b", "0 -inf 0 0 0"),
+        ("visible_edges", "0 1_0 0.5"), ("tree_edges", "0 \u0661 0.5"),
+        ("a", "0.1 1_0 0.3"), ("b", "\u0661 0 0 0 0"),
     ])
     def test_bad_number_names_file_and_line(self, tmp_path, section, line):
         path = tmp_path / "m.sbm"
@@ -849,3 +865,26 @@ class TestModelSerialization:
         with pytest.raises(FileFormatError) as exc:
             load_structure(path)
         assert "s.struct" in str(exc.value) and repr(line) in str(exc.value)
+
+    @pytest.mark.parametrize("name, section, misspelled", [
+        ("model.struct", "tree_edges", "tree-edges"),
+        ("model.sbm", "tree_edges", "tree-edges"),
+        ("masked.rs", "mask", "Mask"),
+    ])
+    def test_unknown_section_names_file_section_and_line(self, tmp_path, name, section,
+                                                         misspelled):
+        lines = (DATA / name).read_text().splitlines()
+        at = lines.index(f"[{section}]")
+        lines[at] = f"[{misspelled}]"
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as exc:
+            LOADERS[name](path)
+        assert str(exc.value) == f"{path}: unknown section [{misspelled}] at line {at + 1}"
+
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    def test_file_that_is_not_utf8_is_refused_naming_it(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: not UTF-8 text"):
+            LOADERS[name](path)

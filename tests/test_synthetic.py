@@ -25,6 +25,16 @@ class TestPlantedPairs:
         assert made.planted == [(7, 0), (0, 59)]
 
 
+@pytest.mark.parametrize("n_docs, message", [
+    (-3, "n_docs must be at least 0, got -3"),
+    (2.5, "n_docs must be an integer, got 2.5"),
+])
+@pytest.mark.parametrize("generate", [sparse_topic_corpus, boltzmann_corpus])
+def test_bad_document_count_refused_naming_it(generate, n_docs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(n_docs, 0)
+
+
 class TestCli:
     def test_writes_both_files(self, tmp_path, capsys):
         assert main([str(tmp_path / "demo"), "--docs", "50", "--plant", "0:9"]) == 0
@@ -45,4 +55,11 @@ class TestCli:
             main([str(tmp_path / "demo"), "--docs", "50", f"--plant={spec}"])
         assert info.value.code == 2
         assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_docs_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([str(tmp_path / "demo"), "--docs", "-5"])
+        assert info.value.code == 2
+        assert "n_docs must be at least 0, got -5" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
