@@ -151,18 +151,19 @@ def load_rs_model(path):
     b = _parse_vector(sections, "b", k, path)
     if "mask" not in sections:
         return RsModel(w, a, b)
-    pairs, _ = _parse_edges(sections, "mask", "mask entry", path, weighted=False)
+    (pairs,) = _parse_edges(sections, "mask", path, weighted=False)
+    faulty = _first_faulty_pair(pairs, f, k)
+    if faulty is not None:
+        j, v = pairs[faulty].tolist()
+        if 0 <= j < f and 0 <= v < k:
+            raise FileFormatError(f"{path}: duplicate mask entry '{j} {v}'")
+        raise FileFormatError(
+            f"{path}: mask entry '{j} {v}' out of range for F={f}, K={k}"
+        )
     try:
         structure = SbmStructure(f, k, pairs, [])
     except StructureError as exc:
-        faulty = _first_faulty_pair(pairs, f, k)
-        if faulty is None:
-            raise FileFormatError(f"{path}: [mask] {exc}") from None
-        j, v = pairs[faulty]
-        row = repr([text for text in sections["mask"].split("\n") if text.strip()][faulty])
-        if 0 <= j < f and 0 <= v < k:
-            raise FileFormatError(f"{path}: duplicate mask entry {row}") from None
-        raise FileFormatError(f"{path}: mask entry {row} out of range for F={f}, K={k}") from None
+        raise FileFormatError(f"{path}: [mask] {exc}") from None
     off = np.argwhere((w != 0.0) & ~structure.mask())
     if off.size:
         j, v = off[0]

@@ -77,8 +77,7 @@ def _first_faulty_pair(pairs, n_rows: int, n_cols: int):
     outside n_rows x n_cols or repeats an earlier pair; None if there is none."""
     rows, cols = pairs.T
     in_range = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
-    # an out-of-range pair gets a key of its own, so it repeats nothing
-    keys = np.where(in_range, rows * n_cols + cols, -1 - np.arange(rows.size))
+    keys = np.where(in_range, rows * n_cols + cols, -1)
     repeat = np.ones(rows.size, dtype=bool)
     repeat[np.unique(keys, return_index=True)[1]] = False
     faulty = np.flatnonzero(~in_range | repeat)
@@ -780,10 +779,9 @@ def sbm_train(corpus: Corpus, structure: SbmStructure, config: TrainConfig) -> S
 # serialization: versioned plain-text sections, bit-exact float round trip
 
 _MAGIC = "sparsebm"
-# the sections each kind of file may hold; any other is refused
 _SECTIONS = {"sbm-structure": ("dims", "visible_edges", "tree_edges"),
+             "sbm-model": ("dims", "visible_edges", "tree_edges", "a", "b"),
              "rs-model": ("dims", "W", "a", "b", "mask")}
-_SECTIONS["sbm-model"] = _SECTIONS["sbm-structure"] + ("a", "b")
 
 
 def read_text(path, first_line: bool = False) -> str:
@@ -795,15 +793,10 @@ def read_text(path, first_line: bool = False) -> str:
         raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _header(line: str):
-    """[kind, version] of a "sparsebm <kind> <version>" line, else [None, None]."""
-    words = line.split()
-    return words[1:] if len(words) == 3 and words[0] == _MAGIC else [None, None]
-
-
 def file_kind(path):
-    """The kind a sparsebm file's first line names, or None for any other file."""
-    return _header(read_text(path, first_line=True))[0]
+    """The word after "sparsebm" that starts a file ("" if none), else None."""
+    words = read_text(path, first_line=True).split()
+    return " ".join(words[1:2]) if words[:1] == [_MAGIC] else None
 
 
 def write_sections(path, kind: str, sections) -> None:
@@ -812,7 +805,8 @@ def write_sections(path, kind: str, sections) -> None:
         fh.write(f"{_MAGIC} {kind} 1\n")
         for name, lines in sections:
             fh.write(f"[{name}]\n")
-            fh.writelines(f"{line}\n" for line in lines)
+            for line in lines:
+                fh.write(line + "\n")
 
 
 def read_sections(path, expected_kind: str):
@@ -822,11 +816,14 @@ def read_sections(path, expected_kind: str):
     # a literal "\n[" starts the pattern, so the search skips ahead between sections
     pre, *parts = re.split(r"\n\[(.*)\]$", read_text(path), flags=re.MULTILINE)
     first, _, before = pre.partition("\n")
-    kind, version = _header(first)
-    if kind is None:
+    header = first.split()
+    if len(header) != 3 or header[0] != _MAGIC:
         raise FileFormatError(f"{path}: not a {_MAGIC} file")
+    kind, version = header[1:]
     if kind != expected_kind:
-        raise FileFormatError(f"{path}: expected kind {expected_kind!r}, found {kind!r}")
+        raise FileFormatError(
+            f"{path}: expected kind {expected_kind!r}, found {kind!r}"
+        )
     if version != "1":
         raise FileFormatError(f"{path}: unsupported format version {version}")
     if before.strip():
@@ -876,7 +873,7 @@ def _parse_section(sections, name, dtype, noun, path):
 
 
 def _parse_dims(sections, path, *names):
-    dtype = [("name", object), ("value", np.int64)]
+    dtype = [("name", "U32"), ("value", np.int64)]
     keys, values = _parse_section(sections, "dims", dtype, "malformed dims line", path)
     dims = dict(zip(keys.tolist(), values.tolist()))
     for name in names:
@@ -896,12 +893,12 @@ def _parse_vector(sections, name, size, path):
     return values
 
 
-def _parse_edges(sections, name, noun, path, weighted):
-    """The (n, 2) int64 pairs of an edge section and, when weighted, the
-    float64 weight that ends each line."""
-    dtype = [("j", np.int64), ("l", np.int64)] + [("w", np.float64)] * weighted
-    j, l, *weights = _parse_section(sections, name, dtype, f"malformed {noun}", path)
-    return np.stack([j, l], axis=1), (weights[0] if weighted else None)
+def _parse_edges(sections, name, path, weighted):
+    """[pairs] of an edge section as (n, 2) int64 or, when weighted, [pairs,
+    weights] with the float64 weight that ends each line."""
+    dtype = [("pair", np.int64, 2)] + [("w", np.float64)] * weighted
+    noun = "mask entry" if name == "mask" else name.replace("_edges", " edge")
+    return _parse_section(sections, name, dtype, f"malformed {noun}", path)
 
 
 def save_structure(structure: SbmStructure, path) -> None:
@@ -922,8 +919,8 @@ def save_structure(structure: SbmStructure, path) -> None:
 def load_structure(path) -> SbmStructure:
     sections = read_sections(path, "sbm-structure")
     f, k = _parse_dims(sections, path, "F", "K")
-    visible, _ = _parse_edges(sections, "visible_edges", "visible edge", path, weighted=False)
-    tree, _ = _parse_edges(sections, "tree_edges", "tree edge", path, weighted=False)
+    (visible,) = _parse_edges(sections, "visible_edges", path, weighted=False)
+    (tree,) = _parse_edges(sections, "tree_edges", path, weighted=False)
     return SbmStructure(f, k, visible, tree)
 
 
@@ -940,7 +937,10 @@ def save_sbm_model(model: SbmModel, path) -> None:
         ),
         (
             "tree_edges",
-            [f"{j} {l} {w!r}" for (j, l), w in zip(s.tree_edges, model.Wt.tolist())],
+            [
+                f"{j} {l} {w!r}"
+                for (j, l), w in zip(s.tree_edges, model.Wt.tolist())
+            ],
         ),
         ("a", [" ".join(map(repr, model.a.tolist()))]),
         ("b", [" ".join(map(repr, model.b.tolist()))]),
@@ -951,9 +951,8 @@ def save_sbm_model(model: SbmModel, path) -> None:
 def load_sbm_model(path) -> SbmModel:
     sections = read_sections(path, "sbm-model")
     f, k = _parse_dims(sections, path, "F", "K")
-    visible, weights = _parse_edges(sections, "visible_edges", "visible edge", path,
-                                    weighted=True)
-    tree, tree_weights = _parse_edges(sections, "tree_edges", "tree edge", path, weighted=True)
+    visible, weights = _parse_edges(sections, "visible_edges", path, weighted=True)
+    tree, tree_weights = _parse_edges(sections, "tree_edges", path, weighted=True)
     structure = SbmStructure(f, k, visible, tree)
     w = np.zeros((f, k))
     w[visible[:, 0], visible[:, 1]] = weights

@@ -201,6 +201,18 @@ class TestVocabularyMismatch:
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", ["sparsebm", "sparsebm sbm-structure",
+                                        "sparsebm sbm-structure 1 x"])
+    def test_malformed_structure_header_is_not_read_as_a_skeleton(self, files, header,
+                                                                  capsys):
+        bad = files / "bad.struct"
+        bad.write_text(f"{header}\n[dims]\nF 1\nK 4\n")
+        out = files / "out-bad-header"
+        assert run(["train-sbm", "--corpus", files / "k4", "--structure", bad,
+                    "-o", out]) == 2
+        assert f"{bad}: not a sparsebm file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_prune_refuses_an_sbm_model_naming_the_file(self, files, capsys):
         out = files / "out-prune-sbm"
         assert run(["prune", "--corpus", files / "k4", "--model", files / "k6.sbm",

@@ -1,25 +1,25 @@
 """Save and load times of the model and structure files at benchmark shapes.
 
-The probe builds four objects with random parameters and times the writer
-and the reader of each, best of --repeats calls:
+The probe builds four objects with random parameters (seed 0) and times
+the writer and the reader of each, best of 9 calls (3 with --small):
 
-- structure: an sbm-structure with F units, K words, per-unit visible edges
-  (20,000 edges at the defaults, as structure-k1000's expanded.struct) and
-  a random spanning tree over the units;
+- structure: an sbm-structure with F units, K words, 200 visible edges a
+  unit (20,000 edges, as structure-k1000's expanded.struct) and a random
+  spanning tree over the units;
 - tree model: an sbm-model on a skeleton, each word in one of F equal
   groups, with a spanning tree (ais-k1000's tree.sbm);
 - dense rs: an F x K rs-model (ais-k1000's dense.rs);
-- pruned rs: an rs-model whose [mask] keeps per-unit words of each unit.
+- pruned rs: an rs-model whose [mask] keeps 200 words of each unit.
 
-Each load is checked to give back the object saved. Set
-OPENBLAS_NUM_THREADS=1 to compare runs.
+F=100 and K=1000; --small uses F=20, K=200 and 40 words a unit. Each load
+is checked to give back the object saved. Set OPENBLAS_NUM_THREADS=1 to
+compare runs.
 
-    PYTHONPATH=src python tools/io_probe.py              # F=100, K=1000, 200 edges a unit
+    PYTHONPATH=src python tools/io_probe.py              # benchmark shapes
     PYTHONPATH=src python tools/io_probe.py --small      # a second or two
-    PYTHONPATH=src python tools/io_probe.py --repeats 5 --dir /tmp/io
 
 Every line printed is one file. The files go to a temporary directory that
-is removed at the end, or to --dir, which is kept.
+is removed at the end.
 """
 import argparse
 import tempfile
@@ -53,9 +53,9 @@ def per_unit_mask(rng, f, k, per_unit):
     return mask
 
 
-def cases(f, k, per_unit, seed):
+def cases(f, k, per_unit):
     """(name, file name, object, save, load, same) for each probed file."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     structure = SbmStructure.from_mask(per_unit_mask(rng, f, k, per_unit), random_tree(rng, f))
     skeleton = SbmStructure.from_mask(np.arange(k) // -(-k // f) == np.arange(f)[:, None],
                                       random_tree(rng, f))
@@ -90,32 +90,23 @@ def best_ms(call, repeats):
     return 1e3 * min(times)
 
 
+# (F, K, visible edges a unit, timed calls) at benchmark shapes and with --small
+SHAPES = {False: (100, 1000, 200, 9), True: (20, 200, 40, 3)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--hidden", type=int, default=100, help="hidden units F")
-    parser.add_argument("--words", type=int, default=1000, help="vocabulary size K")
-    parser.add_argument("--per-unit", type=int, default=200,
-                        help="visible edges of each unit in the structure and the pruned mask")
-    parser.add_argument("--repeats", type=int, default=9, help="calls timed per figure")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dir", type=Path, default=None,
-                        help="write and keep the files here (default: a temporary directory)")
     parser.add_argument("--small", action="store_true", help="F=20, K=200, 3 repeats")
-    args = parser.parse_args(argv)
-    if args.small:
-        args.hidden, args.words, args.per_unit, args.repeats = 20, 200, 40, 3
+    f, k, per_unit, repeats = SHAPES[parser.parse_args(argv).small]
     with tempfile.TemporaryDirectory() as scratch:
-        out = args.dir or Path(scratch)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, file_name, obj, save, load, same in cases(args.hidden, args.words,
-                                                            args.per_unit, args.seed):
-            path = out / file_name
-            save_ms = best_ms(lambda: save(obj, path), args.repeats)
+        for name, file_name, obj, save, load, same in cases(f, k, per_unit):
+            path = Path(scratch) / file_name
+            save_ms = best_ms(lambda: save(obj, path), repeats)
             if not same(load(path), obj):
                 raise SystemExit(f"{path}: loading did not give back the {name} saved")
-            load_ms = best_ms(lambda: load(path), args.repeats)
+            load_ms = best_ms(lambda: load(path), repeats)
             lines = path.read_text().count("\n")
-            print(f"{name} F {args.hidden} K {args.words}: {file_name} {lines} lines,"
+            print(f"{name} F {f} K {k}: {file_name} {lines} lines,"
                   f" save {save_ms:.1f} ms, load {load_ms:.1f} ms", flush=True)
 
 
