@@ -29,7 +29,7 @@ from . import replicated_softmax as rs_mod
 from . import sbm as sbm_mod
 from .errors import SparsebmError
 from .sbm import TrainConfig
-from .util import check_int, rng_from
+from .util import check_int, read_text, rng_from
 
 _EVAL_STREAM = 61
 
@@ -356,7 +356,8 @@ def _stage_fresh(manifest_path, expected_hash):
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
+        # a cache that cannot be read or decoded is stale
         return False
     digests = manifest.get("output_sha256", {})
     return (manifest.get("config_hash") == expected_hash
@@ -543,8 +544,7 @@ def _check_config_keys(cfg):
 
 
 def cmd_pipeline(args):
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = json.loads(read_text(args.config))
     if not isinstance(cfg, dict):
         raise SparsebmError("pipeline config must be a JSON object")
     for key in ("corpus", "out_dir", "seed"):

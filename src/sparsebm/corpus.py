@@ -8,20 +8,19 @@ splits, and per-epoch minibatch schedules. Word IDs are 1-based on disk and
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import FileFormatError, StructureError
-from .util import rng_from
+from .util import open_text, read_columns, rng_from
 
 # stream tags so different operations sharing one user seed stay decoupled
 _SPLIT_STREAM = 12
 _SHUFFLE_STREAM = 11
 
-# a docword token as the bulk parser reads it
+# a docword token as read_columns reads it
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _INT64_MAX = np.iinfo(np.int64).max
 # docword rows formatted per write
@@ -236,16 +235,14 @@ def load_uci_bow(docword_path, vocab_path):
         (Corpus, n_dropped)
     """
     vocab = _read_vocab(vocab_path)
-    with open(docword_path, encoding="utf-8") as fh:
+    with open_text(docword_path) as fh:
         header = []
         for ln in range(1, 4):
-            raw = fh.readline()
-            try:
-                header.append(int(raw.strip()))
-            except ValueError:
-                raise FileFormatError(
-                    f"expected integer header at line {ln}, got {raw.strip()!r}"
-                ) from None
+            raw = fh.readline().strip()
+            value = read_columns([raw], np.int64)
+            if value is None or value[0].size != 1:
+                raise FileFormatError(f"expected integer header at line {ln}, got {raw!r}")
+            header.append(value[0].item())
         n_docs, k, nnz = header
         if n_docs < 0 or k <= 0 or nnz < 0:
             raise FileFormatError(f"invalid header values N={n_docs} K={k} NNZ={nnz}")
@@ -254,22 +251,22 @@ def load_uci_bow(docword_path, vocab_path):
                 f"docword K={k} does not match vocab size {len(vocab)}"
             )
         body_start = fh.tell()
-        rows = _bulk_rows(fh)
-        if rows is None or not (
-            rows.shape[0] == nnz
-            and np.all((rows[:, 0] >= 1) & (rows[:, 0] <= n_docs))
-            and np.all((rows[:, 1] >= 1) & (rows[:, 1] <= k))
-            and np.all(rows[:, 2] >= 1)
+        cols = read_columns(fh, [("doc", np.int64), ("word", np.int64), ("count", np.int64)])
+        if cols is None or not (
+            cols[0].size == nnz
+            and np.all((cols[0] >= 1) & (cols[0] <= n_docs))
+            and np.all((cols[1] >= 1) & (cols[1] <= k))
+            and np.all(cols[2] >= 1)
         ):
             fh.seek(body_start)
             raise _body_error(fh, n_docs, k, nnz)
     _check_unique_vocab(vocab, vocab_path)
 
     # sum repeated (doc, word) lines, then cut the sorted entries into rows
-    key = (rows[:, 0] - 1) * k + (rows[:, 1] - 1)
-    count = rows[:, 2].copy()
-    # free the (n, 3) rows before the sort, whose arrays then set the peak
-    del rows
+    key = (cols[0] - 1) * k + (cols[1] - 1)
+    count = cols[2].copy()
+    # free the columns' table before the sort, whose arrays then set the peak
+    del cols
     order = np.argsort(key)
     key, count = key[order], count[order]
     del order
@@ -292,31 +289,13 @@ def load_uci_bow(docword_path, vocab_path):
     return Corpus._from_csr(vocab, csr, str(docword_path)), n_docs - csr.shape[0]
 
 
-def _bulk_rows(fh):
-    """The rest of the docword file as an (n, 3) int64 array of (docID,
-    wordID, count) rows, blank lines skipped; None where a line does not
-    read as three integers."""
-    try:
-        with warnings.catch_warnings():
-            # numpy before 2.0 reads "3.0" as an integer with a DeprecationWarning
-            warnings.simplefilter("error", DeprecationWarning)
-            # a body of blank lines only is no error here
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
-        return None
-    if rows.shape[0] == 0:
-        return np.zeros((0, 3), dtype=np.int64)
-    return rows if rows.shape[1] == 3 else None
-
-
 def _body_error(lines, n_docs: int, k: int, nnz: int) -> FileFormatError:
     """Word the error of a docword body that failed a bulk check: walk its
     lines (the first is line 4 of the file) to the first bad one, else
     report the entry count.
 
-    A token is an optionally signed run of ASCII digits, as the bulk parser
-    reads it. The parser also refuses values outside 64 bits; of those only
+    A token is an optionally signed run of ASCII digits, as read_columns
+    reads it. That call also refuses values outside 64 bits; of those only
     a count can pass the range checks, so counts get one more check.
     """
     n_entries = 0
@@ -348,7 +327,7 @@ def load_vocab(vocab_path) -> list:
 
 
 def _read_vocab(vocab_path) -> list:
-    with open(vocab_path, encoding="utf-8") as fh:
+    with open_text(vocab_path) as fh:
         vocab = []
         for i, line in enumerate(fh, start=1):
             word = line.strip()

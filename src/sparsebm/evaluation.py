@@ -14,7 +14,7 @@ from scipy.special import gammaln, logsumexp
 from .corpus import Document, dense_rows, docs_csr
 from .errors import FileFormatError, StructureError
 from .sbm import _batch_theta, _chain, _gibbs_step, _multinomial_rows, tree_sum_product
-from .util import log_mean_exp
+from .util import log_mean_exp, open_text, read_columns
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +448,24 @@ def load_embeddings(path) -> EmbeddingTable:
     """Parse "word v1 ... vd" lines; the first line fixes the dimension.
 
     Duplicate words keep the last occurrence (with a warning); inconsistent
-    dimensions or unparseable values raise with the line number.
+    dimensions or values that are unparseable or not finite raise with the
+    line number. The file is read a line at a time.
     """
     vectors: dict = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
+            parts = raw.split(maxsplit=1)
+            if not parts:
                 continue
-            parts = raw.split()
             if len(parts) < 2:
                 raise FileFormatError(f"{path}: expected word and values at line {ln}")
-            word = parts[0]
-            try:
-                values = np.array([float(tok) for tok in parts[1:]])
-            except ValueError:
+            values = read_columns(parts[1:], np.float64)
+            if values is None:
                 raise FileFormatError(
-                    f"{path}: unparseable vector value at line {ln}"
-                ) from None
-            if np.any(np.isnan(values)):
-                raise FileFormatError(f"{path}: NaN vector value at line {ln}")
+                    f"{path}: unparseable or non-finite vector value at line {ln}"
+                )
+            word, values = parts[0], values[0]
             if dim is None:
                 dim = values.size
             elif values.size != dim:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, dense_rows, docs_csr, minibatch_indices
 from .errors import FileFormatError, StructureError
-from .util import check_int, rng_from
+from .util import check_int, first_refused, read_columns, read_text, rng_from
 
 _INIT_STREAM = 31
 _CD_STREAM = 32
@@ -784,15 +783,6 @@ _SECTIONS = {"sbm-structure": ("dims", "visible_edges", "tree_edges"),
              "rs-model": ("dims", "W", "a", "b", "mask")}
 
 
-def read_text(path, first_line: bool = False) -> str:
-    """A file's text, or only its first line; refused, naming it, if not UTF-8."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readline() if first_line else fh.read()
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def file_kind(path):
     """The word after "sparsebm" that starts a file ("" if none), else None."""
     words = read_text(path, first_line=True).split()
@@ -841,35 +831,16 @@ def read_sections(path, expected_kind: str):
 
 
 def _parse_section(sections, name, dtype, noun, path):
-    """The columns of one np.loadtxt call: a row per line of (field, type) pairs
-    or, for a vector, a row per value, so its line breaks do not matter and no
-    long row is copied at 4 bytes a character. Floats must be finite; a missing
-    section is empty. A failed section is walked to name its first bad line."""
+    """read_columns of one section, which is empty when missing: a row per line
+    of (field, type) pairs or, for a vector, a row per value, so its line
+    breaks do not matter and no long row is copied at 4 bytes a character. A
+    refused section is named by its first bad line."""
     lines = sections.get(name, "").split("\n")
     rows = lines if isinstance(dtype, list) else (tok for line in lines for tok in line.split())
-
-    def columns(part):
-        with warnings.catch_warnings():
-            # numpy before 2.0 reads "3.0" as an integer with a DeprecationWarning
-            warnings.simplefilter("error", DeprecationWarning)
-            # a section with no rows is no error here
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(part, dtype=dtype, comments=None, ndmin=1)
-        cols = [table[n] for n in table.dtype.names] if table.dtype.names else [table]
-        # nan, inf and a float that overflows are refused
-        if not all(np.isfinite(c).all() for c in cols if c.dtype.kind == "f"):
-            raise ValueError
-        return cols
-
-    try:
-        return columns(rows)
-    except (ValueError, OverflowError, DeprecationWarning):
-        for line in lines:
-            try:
-                columns([line])
-            except (ValueError, OverflowError, DeprecationWarning):
-                raise FileFormatError(f"{path}: {noun} {line!r}") from None
-        raise
+    cols = read_columns(rows, dtype)
+    if cols is None:
+        raise FileFormatError(f"{path}: {noun} {lines[first_refused(lines, dtype)]!r}")
+    return cols
 
 
 def _parse_dims(sections, path, *names):

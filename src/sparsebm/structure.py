@@ -19,8 +19,8 @@ import scipy.sparse as sp
 
 from .corpus import Corpus
 from .errors import FileFormatError, StructureError
-from .sbm import SbmModel, SbmStructure, _batch_theta, read_text, tree_sum_product
-from .util import check_int
+from .sbm import SbmModel, SbmStructure, _batch_theta, tree_sum_product
+from .util import check_int, first_refused, read_columns, read_text
 
 # 99% quantile of chi-squared with one degree of freedom; 2*N*MI of two
 # independent binary variables is asymptotically chi-squared(1), so this
@@ -55,7 +55,7 @@ class Skeleton(SbmStructure):
     def from_mask(cls, mask, tree_edges, provenance: str = "built") -> "Skeleton":
         """The skeleton whose groups are the True entries of each row of an
         (F, K) mask, built through the group checks, so every column must be
-        True in exactly one row. SbmStructure.full builds through it too."""
+        True in exactly one row."""
         mask = np.array(mask, dtype=bool)
         if mask.ndim != 2 or mask.size == 0:
             raise ValueError("mask must be a non-empty 2-d array")
@@ -319,8 +319,9 @@ def load_skeleton(path, n_visible: int) -> Skeleton:
     Validates the disjoint-cover and forest invariants; violations raise a
     StructureError naming the problem.
     """
-    group_lines = {}
-    tree = []
+    # (line number, [j, v, ...] tokens) of each group line, and of each tree
+    # line its number and text
+    group_rows, edge_rows = [], []
     in_tree = False
     for ln, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
@@ -328,31 +329,29 @@ def load_skeleton(path, n_visible: int) -> Skeleton:
             continue
         if line == "[tree]":
             in_tree = True
-            continue
-        if in_tree:
-            try:
-                j, l = map(int, line.split())
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: malformed tree edge at line {ln}"
-                ) from None
-            tree.append((j, l))
+        elif in_tree:
+            edge_rows.append((ln, line))
         else:
-            if ":" not in line:
-                raise FileFormatError(
-                    f"{path}: expected 'j: v v ...' at line {ln}"
-                )
-            head, _, rest = line.partition(":")
-            try:
-                j = int(head)
-                members = [int(tok) for tok in rest.split()]
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: unparseable group line at line {ln}"
-                ) from None
-            if j in group_lines:
-                raise FileFormatError(f"{path}: duplicate group {j} at line {ln}")
-            group_lines[j] = members
+            head, colon, rest = line.partition(":")
+            if not colon or len(head.split()) != 1:
+                raise FileFormatError(f"{path}: expected 'j: v v ...' at line {ln}")
+            group_rows.append((ln, [head] + rest.split()))
+    # one value per row, so groups of any size read in one call
+    values = read_columns([tok for _, row in group_rows for tok in row], np.int64)
+    if values is None:
+        bad = first_refused([" ".join(row) for _, row in group_rows], np.int64)
+        raise FileFormatError(f"{path}: unparseable group line at line {group_rows[bad][0]}")
+    group_lines, flat = {}, iter(values[0].tolist())
+    for ln, row in group_rows:
+        j, *members = [next(flat) for _ in row]
+        if j in group_lines:
+            raise FileFormatError(f"{path}: duplicate group {j} at line {ln}")
+        group_lines[j] = members
+    edge = [("pair", np.int64, 2)]
+    tree = read_columns([line for _, line in edge_rows], edge)
+    if tree is None:
+        bad = first_refused([line for _, line in edge_rows], edge)
+        raise FileFormatError(f"{path}: malformed tree edge at line {edge_rows[bad][0]}")
     if not group_lines:
         raise FileFormatError(f"{path}: no groups found")
     n_hidden = max(group_lines) + 1
@@ -364,7 +363,7 @@ def load_skeleton(path, n_visible: int) -> Skeleton:
         for v in g:
             if not 0 <= v < n_visible:
                 raise StructureError(f"visible index {v} out of range")
-    skeleton = Skeleton(groups=groups, tree_edges=tree, provenance="loaded")
+    skeleton = Skeleton(groups=groups, tree_edges=tree[0], provenance="loaded")
     # Skeleton checks the cover of 0..max; words above the largest index are
     # checked here
     if skeleton.n_visible < n_visible:

@@ -187,7 +187,7 @@ class TestVocabularyMismatch:
         assert "K=6" in err and f"K={k}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "train-sbm"])
+    @pytest.mark.parametrize("command", ["eval", "train-sbm", "interpret", "pipeline"])
     def test_file_that_is_not_utf8_is_data_error_naming_it(self, files, command, capsys):
         bad = files / "bad.bin"
         bad.write_bytes(b"\x89PNG\r\n\x1a\n")
@@ -196,6 +196,9 @@ class TestVocabularyMismatch:
             "eval": ["eval", "--model", bad, "--docs", files / "k4", "-o", out],
             "train-sbm": ["train-sbm", "--corpus", files / "k4", "--structure", bad,
                           "-o", out],
+            "interpret": ["interpret", "--model", files / "k6.sbm", "--vocab", bad,
+                          "--embeddings", bad, "-o", out],
+            "pipeline": ["pipeline", "--config", bad],
         }[command]
         assert run(argv) == 2
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
@@ -493,6 +496,21 @@ class TestPipeline:
         assert re.findall(r"\[([\w-]+)\] done in", output) == ["expand"]
         assert output.count("] cached") == 8
         assert cmi.read_bytes() == written
+
+    @pytest.mark.parametrize("manifest", [b"{", b"\xff\xfe{\x00}\x00"])
+    def test_pipeline_reruns_a_stage_whose_manifest_cannot_be_read(
+            self, small_corpus_files, tmp_path, capsys, manifest):
+        _, prefix = small_corpus_files
+        out_dir = tmp_path / "run"
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(self.make_config(prefix, out_dir)))
+        assert run(["pipeline", "--config", config_path]) == 0
+        (out_dir / "expanded.struct.manifest.json").write_bytes(manifest)
+        capsys.readouterr()
+        assert run(["pipeline", "--config", config_path]) == 0
+        output = capsys.readouterr().out
+        assert re.findall(r"\[([\w-]+)\] done in", output) == ["expand"]
+        assert output.count("] cached") == 8
 
     def test_report_rows_are_what_eval_prints(self, small_corpus_files, tmp_path,
                                               capsys):

@@ -87,6 +87,16 @@ class TestLoadUciBow:
         with pytest.raises(FileFormatError, match="line 2"):
             load_uci_bow(docword, vocab)
 
+    @pytest.mark.parametrize("header, ln", [
+        (["\u0662", 3, 1], 1), ([2, "3 3", 1], 2), ([2, 3, "1_0"], 3), ([2, 3, ""], 3),
+    ])
+    def test_header_is_one_ascii_integer_a_line(self, tmp_path, header, ln):
+        # Python's int() reads the Arabic-Indic digit as 2 and 1_0 as 10
+        paths = write_docword(tmp_path, header, ["1 1 1"])
+        with pytest.raises(FileFormatError) as err:
+            load_uci_bow(*paths)
+        assert str(err.value) == f"expected integer header at line {ln}, got {str(header[ln - 1])!r}"
+
     def test_vocab_size_mismatch(self, tmp_path):
         paths = write_bow(tmp_path, [1, 3, 1], [(1, 1, 1)], ["a", "b"])
         with pytest.raises(StructureError, match="does not match"):

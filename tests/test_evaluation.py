@@ -592,6 +592,15 @@ class TestEmbeddings:
         with pytest.raises(FileFormatError, match="empty"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1_0", "x"])
+    def test_bad_value_names_file_and_line(self, tmp_path, value):
+        # Python's float() reads all but x, and 1_0 as 10.0
+        path = tmp_path / "emb.txt"
+        path.write_text(f"cat 1.0 0.0\n\ndog 0.0 {value}\n")
+        with pytest.raises(FileFormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: unparseable or non-finite vector value at line 3"
+
 
 class TestInterpretability:
     def make_model(self, weights):

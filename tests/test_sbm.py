@@ -10,9 +10,9 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.special import expit
 
 from sparsebm import sbm
-from sparsebm.corpus import Corpus, Document
+from sparsebm.corpus import Corpus, Document, load_uci_bow, load_vocab
 from sparsebm.errors import FileFormatError, StructureError
-from sparsebm.evaluation import exact_expectations, exact_log_prob
+from sparsebm.evaluation import exact_expectations, exact_log_prob, load_embeddings
 from sparsebm.replicated_softmax import (
     TrainConfig,
     _softmax_rows,
@@ -888,3 +888,22 @@ class TestModelSerialization:
         path.write_bytes(b"\x89PNG\r\n\x1a\n")
         with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: not UTF-8 text"):
             LOADERS[name](path)
+
+    @pytest.mark.parametrize("reader, data", [
+        ("docword", b"\x89PNG\r\n\x1a\n"),
+        # past the first read of the file, so the bulk body read meets it
+        ("docword", b"1\n2\n3001\n" + b"1 1 1\n" * 3000 + b"1 2 \xff\n"),
+        ("vocab", b"\xff\xfea\x00\n\x00"),
+        ("embeddings", b"\xff\xfea\x00 \x001\x00\n\x00"),
+    ], ids=["docword-header", "docword-body", "vocab", "embeddings"])
+    def test_corpus_or_embedding_file_not_utf8_is_refused_naming_it(self, tmp_path, reader,
+                                                                    data):
+        path = tmp_path / reader
+        path.write_bytes(data)
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n")
+        load = {"docword": lambda: load_uci_bow(path, vocab),
+                "vocab": lambda: load_vocab(path),
+                "embeddings": lambda: load_embeddings(path)}[reader]
+        with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: not UTF-8 text"):
+            load()

@@ -305,13 +305,28 @@ class TestSkeletonIo:
         with pytest.raises(StructureError, match="not a forest"):
             load_skeleton(path, 3)
 
-    @pytest.mark.parametrize("edge", ["0 x", "0 1.0", "0 1 2", "0"])
+    @pytest.mark.parametrize("edge", ["0 x", "0 1.0", "0 1 2", "0", "0 1_0", "0 \u0661"])
     def test_malformed_tree_edge_names_file_and_line(self, tmp_path, edge):
         path = tmp_path / "s.txt"
         path.write_text(f"0: 0\n1: 1\n\n[tree]\n{edge}\n")
         with pytest.raises(FileFormatError) as err:
             load_skeleton(path, 2)
         assert str(err.value) == f"{path}: malformed tree edge at line 5"
+
+    @pytest.mark.parametrize("line, fault", [
+        ("0: 0 1_0", "unparseable group line"),
+        ("1: \u0661 2", "unparseable group line"),
+        ("x: 1", "unparseable group line"),
+        ("1 2", "expected 'j: v v ...'"),
+        ("2: 1", "duplicate group 2"),
+    ])
+    def test_malformed_group_line_names_file_and_line(self, tmp_path, line, fault):
+        # Python's int() reads 1_0 as 10 and the Arabic-Indic digit as 1
+        path = tmp_path / "s.txt"
+        path.write_text(f"2: 2\n\n{line}\n[tree]\n")
+        with pytest.raises(FileFormatError) as err:
+            load_skeleton(path, 11)
+        assert str(err.value) == f"{path}: {fault} at line 3"
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "s.txt"
